@@ -47,7 +47,8 @@ func dataset(b *testing.B) *tpc.Dataset {
 }
 
 // runQuery executes the query once per iteration and reports traffic metrics
-// from the last run.
+// from the last run: data-plane bytes (codec frames, deterministic) and
+// control-plane bytes (envelopes and stream markers) separately.
 func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, opts plan.Options) {
 	b.Helper()
 	c, err := bench.NewTPCCluster(context.Background(), d, n, stats.DefaultLAN())
@@ -65,7 +66,8 @@ func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, opts plan.Optio
 		last = res.Metrics
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(last.TotalBytes()), "wire-bytes/op")
+	b.ReportMetric(float64(last.TotalDataBytes()), "data-bytes/op")
+	b.ReportMetric(float64(last.TotalBytes()-last.TotalDataBytes()), "ctrl-bytes/op")
 	b.ReportMetric(float64(last.TotalRows()), "group-rows/op")
 	b.ReportMetric(float64(last.NumRounds()), "rounds")
 }
@@ -73,7 +75,7 @@ func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, opts plan.Optio
 // BenchmarkFig2GroupReduction is Fig. 2: the dependent two-operator query on
 // the high-cardinality partition-aligned attribute, across participating
 // site counts, without reduction vs. site-side vs. coordinator-side vs.
-// both. Expect wire-bytes to grow quadratically with sites on the
+// both. Expect data-bytes to grow quadratically with sites on the
 // no-reduction series and linearly once both reductions are on.
 func BenchmarkFig2GroupReduction(b *testing.B) {
 	d := dataset(b)
@@ -255,11 +257,12 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkSyncMerge measures the coordinator's Theorem 1 synchronization in
-// isolation: merging per-site sub-aggregate relations into the key-indexed
-// base-result structure. The merge is O(|H|); ns/op should scale linearly
-// with the group count.
-func BenchmarkSyncMerge(b *testing.B) {
+// BenchmarkQuery4SitesOneOp times a whole single-operator query over 4
+// serialized in-process sites: the base round and one operator round, with
+// the coordinator's Theorem 1 merge of the per-site sub-aggregates among
+// everything else (site scans, codec, transport). The merge is O(|H|), so
+// ns/op should scale linearly with the group count.
+func BenchmarkQuery4SitesOneOp(b *testing.B) {
 	for _, groups := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
 			cfg := benchConfig()
@@ -273,8 +276,6 @@ func BenchmarkSyncMerge(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// A single-operator query keeps the measurement dominated by the
-			// operator round's synchronization.
 			q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
 			q.Ops = q.Ops[:1]
 			ctx := context.Background()

@@ -137,7 +137,7 @@ func ExampleCluster_Explain() {
 	}
 	fmt.Print(desc)
 	// Output:
-	// plan 1fc38a6009d5b868: 2 site(s), mode all
+	// plan 7b236f53706d479d: 2 site(s), mode all
 	//   operators: 1 (coalescing merges: 0)
 	//   synchronization rounds: 1
 	//   sync reduction: base sync folded into MD1 (Prop. 2)

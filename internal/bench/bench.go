@@ -114,7 +114,10 @@ const LowCardAlignedAttr = "CityKey"
 // used by the coalescing low-cardinality experiment.
 const LowCardAttr = "Clerk"
 
-// Row is one measured point of an experiment series.
+// Row is one measured point of an experiment series. Its byte columns count
+// the data plane (relation-codec frames): the deterministic quantity the
+// paper's byte figures report. Per-call wire sizes, envelopes included, are
+// in Summary.
 type Row struct {
 	Series    string
 	X         int // participating sites (speed-up) or scale factor (scale-up)
@@ -175,9 +178,9 @@ type RowPlan struct {
 	EstBytesUp   int64
 }
 
-// RoundRow is the per-synchronization-round traffic breakdown of a Row. It
-// flows into skalla-bench's -json export, so wire-efficiency regressions show
-// up per round rather than hiding in the query totals.
+// RoundRow is the per-synchronization-round data-plane traffic breakdown of
+// a Row. It flows into skalla-bench's -json export, so wire-efficiency
+// regressions show up per round rather than hiding in the query totals.
 type RoundRow struct {
 	Name          string
 	BytesDown     int
@@ -223,8 +226,8 @@ func foldRow(res *core.Result, series string, x int) Row {
 		rowsUp += r.RowsUp()
 		rr := RoundRow{
 			Name:      r.Name,
-			BytesDown: r.BytesDown(),
-			BytesUp:   r.BytesUp(),
+			BytesDown: r.DataDown(),
+			BytesUp:   r.DataUp(),
 			RowsDown:  r.RowsDown(),
 			RowsUp:    r.RowsUp(),
 		}
@@ -242,9 +245,9 @@ func foldRow(res *core.Result, series string, x int) Row {
 		Series:      series,
 		X:           x,
 		Time:        m.ResponseTime(),
-		Bytes:       m.TotalBytes(),
-		BytesDown:   m.TotalBytesDown(),
-		BytesUp:     m.TotalBytesUp(),
+		Bytes:       m.TotalDataBytes(),
+		BytesDown:   m.TotalDataDown(),
+		BytesUp:     m.TotalDataUp(),
 		Rows:        m.TotalRows(),
 		RowsDown:    rowsDown,
 		RowsUp:      rowsUp,

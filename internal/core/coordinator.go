@@ -30,7 +30,7 @@ type Coordinator struct {
 	cat          *distrib.Catalog
 	net          stats.NetModel
 	blockRows    int
-	tracer       Tracer
+	trace        *obs.TraceWriter // nil = no trace lines
 	retry        RetryPolicy
 	mergeWorkers int
 	slowQuery    time.Duration
@@ -48,8 +48,19 @@ func New(sites []transport.Site, cat *distrib.Catalog, net stats.NetModel) (*Coo
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("core: coordinator needs at least one site")
 	}
+	if cat == nil {
+		// An empty catalog plans exactly like none, and still carries the
+		// generation BumpGeneration advances.
+		cat = distrib.NewCatalog()
+	}
 	return &Coordinator{sites: sites, cat: cat, net: net}, nil
 }
+
+// BumpGeneration advances the catalog generation after the sites' data
+// changed, invalidating cached plans and results computed against the old
+// data. Call it only after the change is in place: a query compiled under
+// the new generation must never see (and cache) the old data.
+func (c *Coordinator) BumpGeneration() { c.cat.Bump() }
 
 // SetRowBlocking makes the sites return H_i in blocks of at most rows rows
 // (Sect. 3.2 row blocking); the coordinator synchronizes blocks as they
@@ -81,11 +92,12 @@ func (c *Coordinator) NumSites() int { return len(c.sites) }
 
 // Result is the outcome of one distributed evaluation.
 type Result struct {
-	Rel     *relation.Relation
+	Rel *relation.Relation
+	// Metrics is the per-round cost view derived from Profile.
 	Metrics *stats.Metrics
 	Plan    *plan.Plan
-	// Profile is the stitched per-round, per-site-call cost record of the
-	// evaluation (also retained in obs.Profiles for /debug/queries).
+	// Profile is the per-round, per-site-call ledger of the evaluation (also
+	// retained in obs.Profiles for /debug/queries).
 	Profile *obs.QueryProfile
 }
 
@@ -200,9 +212,6 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 func (c *Coordinator) executeUnshared(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource) (*Result, error) {
 	res, prof, err := c.executeSpanned(ctx, pl, src)
 	c.finishProfile(prof, pl, res)
-	if res != nil {
-		res.Profile = prof
-	}
 	return res, err
 }
 
@@ -220,19 +229,10 @@ func (c *Coordinator) executeSpanned(ctx context.Context, pl *plan.Plan, src gmd
 		qid = obs.NewQueryID()
 		ctx = obs.WithQueryID(ctx, qid)
 	}
-	// The profile builder rides on the span's event stream; handing it to
-	// StartQuery (rather than AddObserver) lets it see EventQueryStart too.
-	pb := obs.NewProfileBuilder()
-	span := obs.StartQuery(qid, pb)
-	if c.tracer != nil {
-		span.AddObserver(tracerObserver{c.tracer})
-	}
+	span := obs.StartQuery(qid, c.trace)
 	res, err := c.executePlan(ctx, pl, src, span)
-	span.End(err)
-	prof := pb.Profile()
-	if prof != nil {
-		prof.QueueTime = queued
-	}
+	prof := span.End(err)
+	prof.QueueTime = queued
 	return res, prof, err
 }
 
@@ -242,7 +242,6 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 		return nil, err
 	}
 	mg := newMerger(pl.Keys(), pl.XSchemas, segs, newMemBudget(c.memBudget))
-	metrics := stats.NewMetrics(c.net)
 
 	startOp := 0
 	switch {
@@ -253,23 +252,23 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 		if pl.FullLocal {
 			name = "local-all"
 		}
-		if err := c.localRound(ctx, pl, mg, metrics, span, pl.LocalPrefix, name); err != nil {
+		if err := c.localRound(ctx, pl, mg, span, pl.LocalPrefix, name); err != nil {
 			return nil, err
 		}
 		startOp = pl.LocalPrefix
 	case pl.SkipBaseSync:
 		// Prop. 2: the base sync folds into the first operator's round.
-		if err := c.localRound(ctx, pl, mg, metrics, span, 1, "base+MD1"); err != nil {
+		if err := c.localRound(ctx, pl, mg, span, 1, "base+MD1"); err != nil {
 			return nil, err
 		}
 		startOp = 1
 	default:
-		if err := c.baseRound(ctx, pl, mg, metrics, span); err != nil {
+		if err := c.baseRound(ctx, pl, mg, span); err != nil {
 			return nil, err
 		}
 	}
 	for k := startOp; k < len(pl.Query.Ops); k++ {
-		if err := c.operatorRound(ctx, pl, mg, metrics, span, k); err != nil {
+		if err := c.operatorRound(ctx, pl, mg, span, k); err != nil {
 			return nil, err
 		}
 	}
@@ -278,7 +277,7 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rel: final, Metrics: metrics, Plan: pl}, nil
+	return &Result{Rel: final, Plan: pl}, nil
 }
 
 // siteResult is one site's response within a round.
@@ -294,22 +293,22 @@ type siteResult struct {
 // record the traffic that did happen. Cancellation wins: a cancelled context
 // is reported as ctx.Err() once all calls have returned, ahead of any
 // per-site error.
-func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(ctx context.Context, i int, s transport.Site) (*relation.Relation, stats.Call, error)) ([]siteResult, error) {
-	results := make([]siteResult, len(c.sites))
+func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(ctx context.Context, s transport.Site) (*relation.Relation, stats.Call, error)) ([]siteResult, error) {
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return nil, err
 	}
+	results := make([]siteResult, len(c.sites))
 	var wg sync.WaitGroup
 	for i, s := range c.sites {
 		wg.Add(1)
 		go func(i int, s transport.Site) {
 			defer wg.Done()
-			err := c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
-				rel, call, err := f(actx, i, s)
-				results[i] = siteResult{rel: rel, call: call, err: err}
+			r := &results[i]
+			r.call, r.err = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
+				rel, call, err := f(actx, s)
+				r.rel = rel
 				return call, err
 			})
-			results[i].err = err
 		}(i, s)
 	}
 	wg.Wait()
@@ -324,25 +323,29 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 	return results, nil
 }
 
+// endRound records the round's successful calls in site order (failed
+// attempts were recorded as they happened) and closes the round. Calls are
+// recorded even when the coordinator's merge failed: the traffic happened,
+// and -stats-json and traces must reflect it.
+func endRound(rs *obs.RoundSpan, results []siteResult, coordTime time.Duration) {
+	for _, r := range results {
+		if r.err == nil {
+			rs.Call(r.call)
+		}
+	}
+	rs.End(coordTime)
+}
+
 // baseRound is round 0 of the unreduced algorithm: every site computes its
 // base-values fragment B_i; the coordinator unions and de-duplicates them
 // into X_0.
-func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan) error {
+func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan) error {
 	rs := span.StartRound("base", 0)
 	ctx = obs.WithRound(ctx, "base")
-	results, bErr := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
+	results, err := c.broadcast(ctx, rs, func(ctx context.Context, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalBase(ctx, pl.Query.Base)
 	})
-	// Record the calls that completed before any merge error can bail: the
-	// traffic happened, and -stats-json must reflect it.
-	round := stats.RoundStat{Name: "base"}
-	for _, r := range results {
-		if r.err == nil {
-			round.Calls = append(round.Calls, r.call)
-		}
-	}
 	coordStart := time.Now()
-	err := bErr
 	if err == nil {
 		union := relation.New(pl.XSchemas[0])
 		for _, r := range results {
@@ -354,35 +357,23 @@ func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, 
 			err = mg.InitBase(union)
 		}
 	}
-	round.CoordTime = time.Since(coordStart)
-	rs.ObserveMerge(round.CoordTime)
-	metrics.AddRound(round)
-	for _, call := range round.Calls {
-		rs.Call(obsCall(call))
-	}
-	rs.End(round.CoordTime)
+	coordTime := time.Since(coordStart)
+	rs.ObserveMerge(coordTime)
+	endRound(rs, results, coordTime)
 	return err
 }
 
 // localRound ships the query prefix to every site for local evaluation and
 // merges the returned X fragments (synchronization-reduced rounds of
 // Prop. 2 / Cor. 1).
-func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, upTo int, name string) error {
+func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, upTo int, name string) error {
 	rs := span.StartRound(name, 0)
 	ctx = obs.WithRound(ctx, name)
 	req := engine.LocalRequest{Query: pl.Query, UpTo: upTo}
-	results, bErr := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
+	results, err := c.broadcast(ctx, rs, func(ctx context.Context, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalLocal(ctx, req)
 	})
-	// As in baseRound: calls recorded before any merge error can bail.
-	round := stats.RoundStat{Name: name}
-	for _, r := range results {
-		if r.err == nil {
-			round.Calls = append(round.Calls, r.call)
-		}
-	}
 	coordStart := time.Now()
-	err := bErr
 	if err == nil {
 		err = mg.InitLocal(upTo)
 	}
@@ -398,12 +389,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 	if err == nil {
 		mg.RecomputeDerived(upTo)
 	}
-	round.CoordTime = time.Since(coordStart)
-	metrics.AddRound(round)
-	for _, call := range round.Calls {
-		rs.Call(obsCall(call))
-	}
-	rs.End(round.CoordTime)
+	endRound(rs, results, time.Since(coordStart))
 	return err
 }
 
@@ -419,7 +405,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // committed into X with one O(|H_i|) key-indexed merge. Staging is what
 // makes the per-site retry policy sound: a stream that dies after partial
 // blocks is discarded whole and re-run without double-counting into X.
-func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, k int) error {
+func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, k int) error {
 	op := pl.Query.Ops[k]
 	roundName := fmt.Sprintf("MD%d", k+1)
 	rs := span.StartRound(roundName, mg.X().Len())
@@ -442,8 +428,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	coordTime += time.Since(t0)
 
 	stages := make(chan *hStage, len(c.sites))
-	calls := make([]stats.Call, len(c.sites))
-	errs := make([]error, len(c.sites))
+	results := make([]siteResult, len(c.sites))
 	var wg sync.WaitGroup
 	for i, s := range c.sites {
 		wg.Add(1)
@@ -460,7 +445,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				for _, row := range snap.Tuples {
 					keep, err := pred(row)
 					if err != nil {
-						errs[i] = err
+						results[i].err = err
 						return
 					}
 					if keep {
@@ -476,7 +461,8 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				Guard:     pl.Guard,
 				BlockRows: c.blockRows,
 			}
-			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
+			r := &results[i]
+			r.call, r.err = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
 				st := mg.NewStage(k)
 				call, err := c.siteOperatorStream(actx, s, req, func(block *relation.Relation) error {
 					// End a cancelled query's streams promptly instead of
@@ -489,7 +475,6 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 					}
 					return nil
 				})
-				calls[i] = call
 				if err != nil {
 					st.Discard()
 					//skallavet:allow errclass -- batcher seam: siteOperatorStream only relays errors from transport site calls (the retryable class), ctx sentinels, or this callback's own classified errors; the batch delivers them through a member field the dataflow can't follow
@@ -563,9 +548,9 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	t0 = time.Now()
 	err := ctx.Err()
 	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
+		for _, r := range results {
+			if r.err != nil {
+				err = r.err
 				break
 			}
 		}
@@ -577,12 +562,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 		mg.RecomputeDerived(k + 1)
 	}
 	coordTime += time.Since(t0)
-	round := stats.RoundStat{Name: roundName, Calls: calls, CoordTime: coordTime}
-	metrics.AddRound(round)
-	for _, call := range calls {
-		rs.Call(obsCall(call))
-	}
-	rs.End(coordTime)
+	endRound(rs, results, coordTime)
 	return err
 }
 

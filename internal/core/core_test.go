@@ -554,15 +554,15 @@ func TestHashPartitionedCluster(t *testing.T) {
 	}
 }
 
-// The tracer observes every round and site exchange, without changing
+// The trace writer sees every round and site exchange, without changing
 // results.
-func TestWriterTracer(t *testing.T) {
+func TestCoordinatorTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	global := randomGlobal(rng, 60, 12)
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
-	coord.SetTracer(NewWriterTracer(&buf))
+	coord.SetTrace(&buf)
 	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
 	if err != nil {
 		t.Fatal(err)
@@ -578,14 +578,14 @@ func TestWriterTracer(t *testing.T) {
 		t.Errorf("trace lines = %d, want 15:\n%s", lines, out)
 	}
 	// Detaching stops tracing; results unaffected either way.
-	coord.SetTracer(nil)
+	coord.SetTrace(nil)
 	buf.Reset()
 	res2, err := coord.Execute(context.Background(), chainQuery(), plan.None())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Error("detached tracer still wrote")
+		t.Error("detached trace still wrote")
 	}
 	if !res.Rel.EqualMultiset(res2.Rel) {
 		t.Error("tracing changed results")

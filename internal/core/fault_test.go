@@ -158,7 +158,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			coord.SetTracer(NewWriterTracer(&buf))
+			coord.SetTrace(&buf)
 			if _, err := coord.Execute(context.Background(), chainQuery(), tc.opts); err == nil {
 				t.Fatal("corrupt payload must fail the merge")
 			}

@@ -2,11 +2,23 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"skalla/internal/obs"
 	"skalla/internal/plan"
+	"skalla/internal/stats"
 )
+
+// SetTrace streams execution progress — round starts, per-site exchanges,
+// retries, round completions — as single-line text to w (nil detaches).
+// Tracing is observational only; it never changes plans or results.
+func (c *Coordinator) SetTrace(w io.Writer) {
+	c.trace = nil
+	if w != nil {
+		c.trace = obs.NewTraceWriter(w)
+	}
+}
 
 // SetSlowQueryThreshold makes ExecutePlan log the full profile of any query
 // slower than d through the obs logger and count it in
@@ -14,11 +26,12 @@ import (
 // logging.
 func (c *Coordinator) SetSlowQueryThreshold(d time.Duration) { c.slowQuery = d }
 
-// finishProfile completes a stitched query profile after the span closes:
-// plan identity and cost estimates are attached, per-round estimates are
-// joined with the measured rounds (Plan.CompareRounds), the cost-model drift
-// gauges refresh, the profile lands in the global ring for /debug/queries,
-// and the slow-query threshold is applied.
+// finishProfile completes a query profile after the span closes and derives
+// the result's views from it: plan identity and cost estimates are attached,
+// Result.Profile and Result.Metrics are set, per-round estimates are joined
+// with the measured rounds (Plan.CompareRounds), the cost-model drift gauges
+// refresh, the profile lands in the global ring for /debug/queries, and the
+// slow-query threshold is applied.
 func (c *Coordinator) finishProfile(p *obs.QueryProfile, pl *plan.Plan, res *Result) {
 	if p == nil {
 		return
@@ -31,7 +44,9 @@ func (c *Coordinator) finishProfile(p *obs.QueryProfile, pl *plan.Plan, res *Res
 		EstBytesDown: pl.Estimate.BytesDown,
 		EstBytesUp:   pl.Estimate.BytesUp,
 	}
-	if res != nil && res.Metrics != nil {
+	if res != nil {
+		res.Profile = p
+		res.Metrics = stats.FromProfile(p, c.net)
 		costs := pl.CompareRounds(res.Metrics)
 		for i := range p.Rounds {
 			if i < len(costs) && costs[i].Name == p.Rounds[i].Name {

@@ -97,13 +97,13 @@ func retryable(ctx context.Context, err error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// withRetry runs one site call under the coordinator's retry policy: each
-// attempt gets a per-call deadline (when configured) and an attempt-stamped
-// context (the transport ships the attempt number to the site), failed
-// attempts are recorded — with whatever the transport measured before they
-// died — on the round span and the retries counter, and backoff sleeps
-// respect the parent context.
-func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int, fn func(ctx context.Context, attempt int) (stats.Call, error)) error {
+// withRetry runs one site call under the coordinator's retry policy and
+// returns the successful attempt's call record: each attempt gets a per-call
+// deadline (when configured) and an attempt-stamped context (the transport
+// ships the attempt number to the site), every failed attempt is recorded on
+// the round span — with whatever the transport measured before it died — and
+// backoff sleeps respect the parent context.
+func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int, fn func(ctx context.Context) (stats.Call, error)) (stats.Call, error) {
 	p := c.retry
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
@@ -114,23 +114,24 @@ func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int
 		if p.CallTimeout > 0 {
 			actx, cancel = context.WithTimeout(actx, p.CallTimeout)
 		}
-		call, err := fn(actx, attempt)
+		call, err := fn(actx)
 		cancel()
 		if err == nil {
-			return nil
+			return call, nil
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			return perm.err
+			err = perm.err
 		}
-		if attempt >= p.MaxAttempts || !retryable(ctx, err) {
-			return err
+		retry := perm == nil && attempt < p.MaxAttempts && retryable(ctx, err)
+		rs.Fail(site, attempt, call, err, retry)
+		if !retry {
+			return call, err
 		}
-		rs.Retry(site, attempt, obsCall(call), err)
 		select {
 		case <-time.After(p.backoff(attempt)):
 		case <-ctx.Done():
-			return err
+			return call, err
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
-	"skalla/internal/stats"
 )
 
 // The shared-work layer: concurrent statements that compile to the same plan
@@ -161,9 +160,6 @@ func (c *Coordinator) leadFlight(ctx, execCtx context.Context, fl *flight, pl *p
 		}
 	}
 	c.finishProfile(prof, pl, res)
-	if res != nil {
-		res.Profile = prof
-	}
 	return res, err
 }
 
@@ -202,7 +198,7 @@ func (c *Coordinator) sharedResult(ctx context.Context, pl *plan.Plan, shared *r
 	prof := &obs.QueryProfile{QueryID: qid, Start: start, QueueTime: wait, Shared: how}
 	var res *Result
 	if err == nil {
-		res = &Result{Rel: rel, Metrics: stats.NewMetrics(c.net), Plan: pl}
+		res = &Result{Rel: rel, Plan: pl}
 		obs.CoordQueries.With("ok").Inc()
 	} else {
 		prof.Err = err.Error()
@@ -210,9 +206,6 @@ func (c *Coordinator) sharedResult(ctx context.Context, pl *plan.Plan, shared *r
 	}
 	prof.Elapsed = time.Since(start)
 	c.finishProfile(prof, pl, res)
-	if res != nil {
-		res.Profile = prof
-	}
 	return res, err
 }
 

@@ -334,7 +334,7 @@ func TestResultCacheGenerationBumpMidExecution(t *testing.T) {
 		done <- err
 	}()
 	waitFor(t, "execution to reach the sites", func() bool { return siteCalls.Load() > 0 })
-	cat.Generation++ // distribution knowledge re-derived mid-execution
+	cat.Bump() // distribution knowledge re-derived mid-execution
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		cat.Generation++
+		cat.Bump()
 	}
 	// Each post-bump round found at most a stale entry: at least one
 	// generation miss per round after the first, and — because the plan's

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"skalla/internal/relation"
 )
@@ -278,11 +279,12 @@ func (d *Distribution) CheckData(site int, rel *relation.Relation) error {
 // Catalog bundles the distribution knowledge of all detail relations.
 type Catalog struct {
 	Relations map[string]*Distribution
-	// Generation counts catalog rebuilds: it changes whenever the
+	// gen counts catalog rebuilds and data reloads: it advances whenever the
 	// distribution knowledge (partitioning, membership, statistics) is
-	// re-derived, invalidating every plan fingerprint computed against the
-	// previous knowledge. The zero value identifies the initial catalog.
-	Generation uint64
+	// re-derived or a partition's data is replaced, invalidating every plan
+	// fingerprint and cached result computed against the previous state.
+	// Zero identifies the initial catalog.
+	gen atomic.Uint64
 }
 
 // NewCatalog builds a catalog from distributions.
@@ -304,13 +306,17 @@ func (c *Catalog) Distribution(rel string) *Distribution {
 }
 
 // Gen returns the catalog's generation counter; nil catalogs are generation
-// zero (no distribution knowledge to go stale).
+// zero (no distribution knowledge to go stale). Safe for concurrent use with
+// Bump.
 func (c *Catalog) Gen() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.Generation
+	return c.gen.Load()
 }
+
+// Bump advances the generation, invalidating cached plans and results.
+func (c *Catalog) Bump() { c.gen.Add(1) }
 
 func init() {
 	gob.Register(IntRange{})

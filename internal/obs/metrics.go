@@ -34,6 +34,9 @@ var (
 	TransportBytes = Default.CounterVec("skalla_transport_bytes_total",
 		"Wire bytes per coordinator↔site exchange, by site, direction and query.",
 		"site", "direction", "query")
+	TransportDataBytes = Default.CounterVec("skalla_transport_data_bytes_total",
+		"Data-plane (relation-codec frame) share of the wire bytes, by site, direction and query.",
+		"site", "direction", "query")
 	TransportRows = Default.CounterVec("skalla_transport_rows_total",
 		"Base-structure / sub-aggregate rows shipped per exchange, by site, direction and query.",
 		"site", "direction", "query")

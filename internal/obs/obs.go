@@ -1,9 +1,9 @@
 // Package obs is Skalla's observability layer: a dependency-free metrics
 // registry (atomic counters, gauges, and fixed-bucket histograms with
 // Prometheus text exposition), structured logging built on log/slog, a
-// query/round/site-call span model that the coordinator drives and tracers
-// adapt, and an opt-in HTTP endpoint surface (/metrics, /healthz, pprof) for
-// the long-running daemons.
+// query/round/site-call span model that the coordinator drives and that owns
+// each query's profile (the one per-query ledger), and an opt-in HTTP
+// endpoint surface (/metrics, /healthz, pprof) for the long-running daemons.
 //
 // The paper's evaluation (Sect. 5) is a measurement exercise — bytes shipped,
 // rows per round, site versus coordinator time — and the communication-cost

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// The profile model is the stitched, per-query view of one distributed
-// evaluation: the coordinator's rounds and site calls (from the span model)
-// joined with the site-side breakdowns that ship back inside each wire
-// response. Where the span model streams events as they happen, a
-// QueryProfile is the complete record kept after the query ends — the thing
-// /debug/queries serves and EXPLAIN ANALYZE-style tooling reads.
+// The profile model is the per-query ledger of one distributed evaluation:
+// the coordinator's rounds and site calls, each call carrying the site-side
+// breakdown that ships back inside its wire response. The query span appends
+// to it while the query runs; once the query ends it is the complete record
+// /debug/queries serves and every per-query view is derived from.
 
 // SiteBreakdown is the site-side cost breakdown of one request, accumulated
 // by a SiteRecorder while the site evaluates and returned in the wire
@@ -182,23 +181,38 @@ func AttemptFrom(ctx context.Context) int {
 	return 1
 }
 
-// CallProfile is one coordinator↔site exchange inside a profile: the
+// SiteCall is the one record of a coordinator↔site exchange: the
 // coordinator-observed envelope (timing, bytes, rows) plus the site's own
-// breakdown. Failed attempts that were retried appear as their own entries
-// with Failed set; their traffic is excluded from round totals, so retries
-// never double-count bytes.
-type CallProfile struct {
-	Site      int
-	Attempt   int
-	Failed    bool
-	Err       string `json:",omitempty"`
-	Start     time.Time
-	Elapsed   time.Duration
+// breakdown. The transport fills it, the query span appends it to its round
+// exactly once, and every other view (stats.Metrics, traces, /debug/queries)
+// reads it from there. Failed attempts appear as their own entries with
+// Failed set; their traffic is excluded from round totals, so retries never
+// double-count bytes.
+type SiteCall struct {
+	Site    int
+	Attempt int // 1-based retry attempt (1 when untagged)
+	Failed  bool
+	Err     string `json:",omitempty"`
+	// Start and Elapsed are the coordinator-observed wall-clock envelope of
+	// the exchange, stamped by the transport.
+	Start   time.Time
+	Elapsed time.Duration
+	// BytesDown and BytesUp count everything that crossed the wire in each
+	// direction. DataDown and DataUp are their data-plane share: the
+	// relation-codec frames (the partial aggregates and base-structure
+	// fragments Thm. 2 and the Sect. 5.2 formula count). The rest is control
+	// plane — gob envelopes, query IDs, round names, timings, site
+	// breakdowns, stream markers — whose size varies with timing values, so
+	// byte-determinism checks compare the data plane.
 	BytesDown int
 	BytesUp   int
-	RowsDown  int
-	RowsUp    int
+	DataDown  int
+	DataUp    int
+	RowsDown  int // base-structure rows shipped to the site
+	RowsUp    int // sub-aggregate rows returned
 	Compute   time.Duration
+	// Breakdown is the site-side cost breakdown returned in the response's
+	// trailing Profile field (nil from peers that do not report one).
 	Breakdown *SiteBreakdown `json:",omitempty"`
 }
 
@@ -212,12 +226,14 @@ type RoundProfile struct {
 	XRows        int
 	BytesDown    int
 	BytesUp      int
+	DataDown     int
+	DataUp       int
 	RowsDown     int
 	RowsUp       int
 	CoordTime    time.Duration
 	EstBytesDown int64
 	EstBytesUp   int64
-	Calls        []CallProfile
+	Calls        []SiteCall
 }
 
 // ProfilePlan is the planner identity attached to a profile: which compiled
@@ -231,7 +247,8 @@ type ProfilePlan struct {
 	EstBytesUp   int64
 }
 
-// QueryProfile is the complete stitched record of one distributed query.
+// QueryProfile is the complete record of one distributed query: the one
+// per-query ledger, owned by the query span while the query runs.
 type QueryProfile struct {
 	QueryID string
 	Start   time.Time
@@ -251,8 +268,8 @@ type QueryProfile struct {
 	Rounds []RoundProfile
 }
 
-// BytesDown returns the query's total coordinator→sites bytes (successful
-// calls only — the same quantity stats.Metrics reports).
+// BytesDown returns the query's total coordinator→sites wire bytes
+// (successful calls only).
 func (p *QueryProfile) BytesDown() int {
 	n := 0
 	for i := range p.Rounds {
@@ -261,104 +278,11 @@ func (p *QueryProfile) BytesDown() int {
 	return n
 }
 
-// BytesUp returns the query's total sites→coordinator bytes.
+// BytesUp returns the query's total sites→coordinator wire bytes.
 func (p *QueryProfile) BytesUp() int {
 	n := 0
 	for i := range p.Rounds {
 		n += p.Rounds[i].BytesUp
 	}
 	return n
-}
-
-// ProfileBuilder is an Observer that stitches span events into a
-// QueryProfile. Round lifecycle events arrive in order from the
-// coordinator's control loop; retry events arrive concurrently from per-site
-// goroutines, so the builder locks around every mutation.
-type ProfileBuilder struct {
-	mu sync.Mutex
-	p  QueryProfile
-}
-
-// NewProfileBuilder creates a builder for one query span.
-func NewProfileBuilder() *ProfileBuilder { return &ProfileBuilder{} }
-
-// ObserveSpan implements Observer.
-func (b *ProfileBuilder) ObserveSpan(e Event) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch e.Kind {
-	case EventQueryStart:
-		b.p.QueryID = e.QueryID
-		b.p.Start = time.Now()
-	case EventRoundStart:
-		b.p.Rounds = append(b.p.Rounds, RoundProfile{
-			Name: e.Round, Start: time.Now(), XRows: e.XRows,
-		})
-	case EventSiteCall:
-		if r := b.currentRound(e.Round); r != nil {
-			r.Calls = append(r.Calls, callProfile(e.Call, false))
-			r.BytesDown += e.Call.BytesDown
-			r.BytesUp += e.Call.BytesUp
-			r.RowsDown += e.Call.RowsDown
-			r.RowsUp += e.Call.RowsUp
-		}
-	case EventSiteRetry:
-		if r := b.currentRound(e.Round); r != nil {
-			c := callProfile(e.Call, true)
-			c.Err = e.Err
-			// An attempt that failed before the transport stamped a call
-			// still identifies itself through the event envelope.
-			c.Site, c.Attempt = e.Site, e.Attempt
-			r.Calls = append(r.Calls, c)
-		}
-	case EventRoundEnd:
-		if r := b.currentRound(e.Round); r != nil {
-			r.Elapsed = time.Since(r.Start)
-			r.CoordTime = e.CoordTime
-		}
-	case EventQueryEnd:
-		b.p.Elapsed = e.Elapsed
-		b.p.Err = e.Err
-	}
-}
-
-// currentRound returns the newest round matching name (nil when no round is
-// open — a stray event is dropped rather than misfiled).
-func (b *ProfileBuilder) currentRound(name string) *RoundProfile {
-	for i := len(b.p.Rounds) - 1; i >= 0; i-- {
-		if b.p.Rounds[i].Name == name {
-			return &b.p.Rounds[i]
-		}
-	}
-	return nil
-}
-
-func callProfile(c SiteCall, failed bool) CallProfile {
-	return CallProfile{
-		Site:      c.Site,
-		Attempt:   c.Attempt,
-		Failed:    failed,
-		Start:     c.Start,
-		Elapsed:   c.Elapsed,
-		BytesDown: c.BytesDown,
-		BytesUp:   c.BytesUp,
-		RowsDown:  c.RowsDown,
-		RowsUp:    c.RowsUp,
-		Compute:   c.Compute,
-		Breakdown: c.Breakdown,
-	}
-}
-
-// Profile returns the stitched profile. Call after the span ends; the result
-// is a snapshot the caller owns (rounds/calls are copied).
-func (b *ProfileBuilder) Profile() *QueryProfile {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p := b.p
-	p.Rounds = make([]RoundProfile, len(b.p.Rounds))
-	for i := range b.p.Rounds {
-		p.Rounds[i] = b.p.Rounds[i]
-		p.Rounds[i].Calls = append([]CallProfile(nil), b.p.Rounds[i].Calls...)
-	}
-	return &p
 }

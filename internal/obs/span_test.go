@@ -8,53 +8,42 @@ import (
 	"time"
 )
 
-type collectObserver struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (c *collectObserver) ObserveSpan(e Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
+// TestSpanEventOrder: the span records rounds and calls into its profile in
+// the order they happen, each call once, with failed attempts kept as
+// records but out of the round totals.
 func TestSpanEventOrder(t *testing.T) {
-	var obsr collectObserver
-	span := StartQuery("qtest", &obsr)
+	span := StartQuery("qtest", nil)
 	rs := span.StartRound("base", 0)
-	rs.Call(SiteCall{Site: 0, BytesUp: 10, RowsUp: 2})
-	rs.Call(SiteCall{Site: 1, BytesUp: 20, RowsUp: 4})
+	rs.Fail(1, 1, SiteCall{BytesDown: 5}, errors.New("boom"), true)
+	rs.Call(SiteCall{Site: 0, BytesUp: 10, DataUp: 8, RowsUp: 2})
+	rs.Call(SiteCall{Site: 1, Attempt: 2, BytesUp: 20, DataUp: 16, RowsUp: 4})
 	rs.ObserveMerge(time.Millisecond)
 	rs.End(time.Millisecond)
-	span.End(nil)
+	span.StartRound("MD1", 6).End(0)
+	p := span.End(nil)
 
-	kinds := make([]EventKind, len(obsr.events))
-	for i, e := range obsr.events {
-		kinds[i] = e.Kind
-		if e.QueryID != "qtest" {
-			t.Errorf("event %d query ID = %q", i, e.QueryID)
-		}
+	if p.QueryID != "qtest" || p.Start.IsZero() || p.Elapsed <= 0 || p.Err != "" {
+		t.Errorf("profile envelope: %+v", p)
 	}
-	want := []EventKind{EventQueryStart, EventRoundStart, EventSiteCall, EventSiteCall, EventRoundEnd, EventQueryEnd}
-	if len(kinds) != len(want) {
-		t.Fatalf("got %d events, want %d", len(kinds), len(want))
+	if len(p.Rounds) != 2 || p.Rounds[0].Name != "base" || p.Rounds[1].Name != "MD1" || p.Rounds[1].XRows != 6 {
+		t.Fatalf("rounds: %+v", p.Rounds)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("event %d kind = %d, want %d", i, kinds[i], want[i])
-		}
+	base := p.Rounds[0]
+	if len(base.Calls) != 3 || !base.Calls[0].Failed || base.Calls[0].Site != 1 || base.Calls[0].Err != "boom" {
+		t.Fatalf("calls: %+v", base.Calls)
 	}
-	end := obsr.events[4]
-	if end.BytesUp != 30 || len(end.Calls) != 2 {
-		t.Errorf("round end aggregates: bytesUp=%d calls=%d", end.BytesUp, len(end.Calls))
+	if base.BytesDown != 0 || base.BytesUp != 30 || base.DataUp != 24 || base.RowsUp != 6 {
+		t.Errorf("round totals must cover successful calls only: %+v", base)
+	}
+	if base.CoordTime != time.Millisecond || base.Elapsed <= 0 {
+		t.Errorf("round timing: coord %v elapsed %v", base.CoordTime, base.Elapsed)
 	}
 }
 
 func TestSpanMetrics(t *testing.T) {
 	id := NewQueryID()
 	before := CoordActiveQueries.Value()
-	span := StartQuery(id)
+	span := StartQuery(id, nil)
 	if CoordActiveQueries.Value() != before+1 {
 		t.Error("active gauge did not rise")
 	}
@@ -76,16 +65,18 @@ func TestSpanMetrics(t *testing.T) {
 	}
 }
 
-func TestLineObserverFormat(t *testing.T) {
+func TestTraceWriterFormat(t *testing.T) {
 	var b strings.Builder
-	lo := NewLineObserver(&b)
-	span := StartQuery("qfmt", lo)
+	span := StartQuery("qfmt", NewTraceWriter(&b))
 	rs := span.StartRound("MD1", 7)
+	rs.Fail(2, 1, SiteCall{}, errors.New("reset"), true)
+	rs.Fail(2, 2, SiteCall{}, errors.New("final"), false)
 	rs.Call(SiteCall{Site: 2, BytesDown: 100, RowsDown: 7, BytesUp: 50, RowsUp: 3, Compute: 120 * time.Microsecond})
 	rs.End(time.Millisecond)
 	span.End(nil)
 	got := b.String()
 	want := "round MD1: start (X holds 7 rows)\n" +
+		"round MD1: site 2 attempt 1 failed (reset), retrying\n" +
 		"round MD1: site 2  down 100B/7 rows  up 50B/3 rows  compute 120µs\n" +
 		"round MD1: done  100B down, 50B up, coordinator 1ms\n"
 	if got != want {
@@ -93,9 +84,9 @@ func TestLineObserverFormat(t *testing.T) {
 	}
 }
 
-// TestLineObserverConcurrent verifies the lock granularity fix: events from
-// interleaved spans sharing one writer never split a line.
-func TestLineObserverConcurrent(t *testing.T) {
+// TestTraceWriterConcurrent verifies the lock granularity: lines from
+// interleaved spans sharing one writer never split.
+func TestTraceWriterConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	var b strings.Builder
 	w := writerFunc(func(p []byte) (int, error) {
@@ -103,13 +94,13 @@ func TestLineObserverConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return b.Write(p)
 	})
-	lo := NewLineObserver(w)
+	tw := NewTraceWriter(w)
 	var wg sync.WaitGroup
 	for q := 0; q < 4; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			span := StartQuery(NewQueryID(), lo)
+			span := StartQuery(NewQueryID(), tw)
 			for i := 0; i < 50; i++ {
 				rs := span.StartRound("R", i)
 				rs.Call(SiteCall{Site: q, BytesDown: 1, BytesUp: 1})

@@ -20,7 +20,7 @@ func exportProfile(start time.Time) *QueryProfile {
 			{
 				Name: "base", Start: start, Elapsed: 2 * time.Millisecond,
 				BytesDown: 100, BytesUp: 300,
-				Calls: []CallProfile{
+				Calls: []SiteCall{
 					{Site: 0, Attempt: 1, Start: start, Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150},
 					{Site: 1, Attempt: 1, Failed: true, Err: "injected", Start: start, Elapsed: time.Microsecond},
 					{Site: 1, Attempt: 2, Start: start.Add(time.Millisecond), Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150},
@@ -29,7 +29,7 @@ func exportProfile(start time.Time) *QueryProfile {
 			{
 				Name: "MD1", Start: start.Add(2 * time.Millisecond), Elapsed: 3 * time.Millisecond,
 				XRows: 10, BytesDown: 400, BytesUp: 200, CoordTime: time.Millisecond,
-				Calls: []CallProfile{
+				Calls: []SiteCall{
 					{Site: 0, Attempt: 1, Start: start.Add(2 * time.Millisecond), Elapsed: 2 * time.Millisecond,
 						BytesDown: 400, BytesUp: 200, Compute: time.Millisecond,
 						Breakdown: &SiteBreakdown{EvalNS: 1e6, Workers: 2, RowsScanned: 1000,

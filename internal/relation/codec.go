@@ -226,6 +226,7 @@ type Decoder struct {
 	hasSchema bool
 	body      []byte
 	pool      *BlockPool
+	bytes     int64
 }
 
 // NewDecoder creates a decoder reading from r.
@@ -233,6 +234,10 @@ func NewDecoder(r ByteScanner) *Decoder { return &Decoder{r: r} }
 
 // SetPool makes the decoder allocate decoded blocks from pool.
 func (d *Decoder) SetPool(pool *BlockPool) { d.pool = pool }
+
+// Bytes returns the total bytes of the frames this decoder has decoded
+// (frame headers included): the receiving end's count of Encoder.Bytes.
+func (d *Decoder) Bytes() int64 { return d.bytes }
 
 // Decode reads one relation frame. It returns io.EOF (possibly wrapped as
 // io.ErrUnexpectedEOF mid-frame) when the stream ends.
@@ -283,7 +288,9 @@ func (d *Decoder) Decode() (*Relation, error) {
 	if cur.pos != len(cur.b) {
 		return nil, fmt.Errorf("relation: codec frame has %d trailing bytes", len(cur.b)-cur.pos)
 	}
-	obs.CodecDecodeBytes.Add(int64(uvarintLen(ln)) + int64(ln))
+	n := int64(uvarintLen(ln)) + int64(ln)
+	d.bytes += n
+	obs.CodecDecodeBytes.Add(n)
 	obs.CodecFrames.With("decode").Inc()
 	return rel, nil
 }
@@ -564,8 +571,14 @@ func Unmarshal(b []byte) (*Relation, error) {
 
 // GobEncode makes gob envelopes (transport request/response structs, legacy
 // files) carry relations in the compact wire format rather than gob's
-// reflective struct encoding.
-func (r *Relation) GobEncode() ([]byte, error) { return Marshal(r) }
+// reflective struct encoding: exactly one Marshal frame per relation.
+func (r *Relation) GobEncode() ([]byte, error) {
+	b, err := Marshal(r)
+	if r.metered {
+		r.frame = len(b)
+	}
+	return b, err
+}
 
 // GobDecode is the inverse of GobEncode.
 func (r *Relation) GobDecode(b []byte) error {
@@ -573,8 +586,30 @@ func (r *Relation) GobDecode(b []byte) error {
 	if err != nil {
 		return err
 	}
-	r.Schema, r.Tuples, r.pooled = rel.Schema, rel.Tuples, nil
+	r.Schema, r.Tuples, r.pooled, r.frame = rel.Schema, rel.Tuples, nil, len(b)
 	return nil
+}
+
+// Metered returns a shallow copy of r (sharing its schema and tuples) whose
+// GobEncode records the frame size for FrameBytes, so a sender learns the
+// data-plane bytes of an envelope without encoding the relation twice. The
+// copy is the caller's own, so concurrent senders of one relation never
+// share the record. Metered(nil) is nil.
+func Metered(r *Relation) *Relation {
+	if r == nil {
+		return nil
+	}
+	return &Relation{Schema: r.Schema, Tuples: r.Tuples, metered: true}
+}
+
+// FrameBytes returns the size of the codec frame that carried r inside a gob
+// envelope: set by GobDecode on the receiving end and by GobEncode on a
+// Metered copy; zero otherwise (and for nil).
+func (r *Relation) FrameBytes() int {
+	if r == nil {
+		return 0
+	}
+	return r.frame
 }
 
 // BlockPool recycles decoded-block storage (the row-pointer slice and the

@@ -64,6 +64,12 @@ type Relation struct {
 	// pooled links a decoded wire block back to its BlockPool storage so
 	// Recycle can return it; nil for ordinary relations.
 	pooled *blockStorage
+
+	// frame is the codec frame size of the gob envelope that carried this
+	// relation (see FrameBytes); metered marks a copy whose GobEncode
+	// records it.
+	frame   int
+	metered bool
 }
 
 // New returns an empty relation with the given schema.

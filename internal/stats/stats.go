@@ -36,79 +36,51 @@ func (m NetModel) Cost(bytes int) time.Duration {
 	return d
 }
 
-// Call records the measured cost of one coordinator→site→coordinator
-// exchange: request and response sizes (bytes and rows) and the site-side
-// computation time.
-type Call struct {
-	Site      int
-	BytesDown int // request payload, coordinator → site
-	BytesUp   int // response payload, site → coordinator
-	RowsDown  int // base-structure rows shipped to the site
-	RowsUp    int // sub-aggregate rows returned
-	Compute   time.Duration
-	// Start and Elapsed are the coordinator-observed wall-clock envelope of
-	// the exchange, stamped by the transport; Attempt is the 1-based retry
-	// attempt number from the call context.
-	Start   time.Time
-	Elapsed time.Duration
-	Attempt int
-	// Profile is the site-side cost breakdown returned in the response's
-	// trailing Profile field (nil from pre-profiler peers).
-	Profile *obs.SiteBreakdown
-}
+// Call is the one record of a coordinator↔site exchange: the query
+// profile's obs.SiteCall, named here for transport.Site implementations.
+type Call = obs.SiteCall
 
-// RoundStat aggregates one evaluation round (one local-processing-then-
-// synchronization step, Sect. 3.2).
+// RoundStat is one evaluation round (one local-processing-then-
+// synchronization step, Sect. 3.2): its successful calls and the
+// coordinator's synchronization time.
 type RoundStat struct {
 	Name      string
 	Calls     []Call
 	CoordTime time.Duration // synchronization work at the coordinator
 }
 
-// BytesDown returns the round's total coordinator→sites bytes.
-func (r *RoundStat) BytesDown() int {
+func (r *RoundStat) sum(f func(*Call) int) int {
 	n := 0
-	for _, c := range r.Calls {
-		n += c.BytesDown
+	for i := range r.Calls {
+		n += f(&r.Calls[i])
 	}
 	return n
 }
 
-// BytesUp returns the round's total sites→coordinator bytes.
-func (r *RoundStat) BytesUp() int {
-	n := 0
-	for _, c := range r.Calls {
-		n += c.BytesUp
-	}
-	return n
-}
+// BytesDown returns the round's total coordinator→sites wire bytes.
+func (r *RoundStat) BytesDown() int { return r.sum(func(c *Call) int { return c.BytesDown }) }
+
+// BytesUp returns the round's total sites→coordinator wire bytes.
+func (r *RoundStat) BytesUp() int { return r.sum(func(c *Call) int { return c.BytesUp }) }
+
+// DataDown returns the data-plane share of BytesDown (codec frames).
+func (r *RoundStat) DataDown() int { return r.sum(func(c *Call) int { return c.DataDown }) }
+
+// DataUp returns the data-plane share of BytesUp (codec frames).
+func (r *RoundStat) DataUp() int { return r.sum(func(c *Call) int { return c.DataUp }) }
 
 // RowsDown returns the round's total rows shipped to sites.
-func (r *RoundStat) RowsDown() int {
-	n := 0
-	for _, c := range r.Calls {
-		n += c.RowsDown
-	}
-	return n
-}
+func (r *RoundStat) RowsDown() int { return r.sum(func(c *Call) int { return c.RowsDown }) }
 
 // RowsUp returns the round's total rows returned by sites.
-func (r *RoundStat) RowsUp() int {
-	n := 0
-	for _, c := range r.Calls {
-		n += c.RowsUp
-	}
-	return n
-}
+func (r *RoundStat) RowsUp() int { return r.sum(func(c *Call) int { return c.RowsUp }) }
 
 // MaxSiteCompute returns the slowest site's computation time (sites work in
 // parallel, so this is the round's compute contribution to response time).
 func (r *RoundStat) MaxSiteCompute() time.Duration {
 	var mx time.Duration
 	for _, c := range r.Calls {
-		if c.Compute > mx {
-			mx = c.Compute
-		}
+		mx = max(mx, c.Compute)
 	}
 	return mx
 }
@@ -118,109 +90,111 @@ func (r *RoundStat) MaxSiteCompute() time.Duration {
 func (r *RoundStat) MaxSiteComm(m NetModel) time.Duration {
 	var mx time.Duration
 	for _, c := range r.Calls {
-		d := m.Cost(c.BytesDown) + m.Cost(c.BytesUp)
-		if d > mx {
-			mx = d
-		}
+		mx = max(mx, m.Cost(c.BytesDown)+m.Cost(c.BytesUp))
 	}
 	return mx
 }
 
-// Metrics is the full cost record of one distributed query evaluation.
+// Metrics is the cost record of one distributed query evaluation, derived
+// from its profile by FromProfile.
 type Metrics struct {
 	Net    NetModel
 	Rounds []RoundStat
 }
 
-// NewMetrics creates an empty metrics record under a network model.
-func NewMetrics(net NetModel) *Metrics { return &Metrics{Net: net} }
+// FromProfile derives the metrics view of a query's ledger: one RoundStat
+// per profiled round, holding the round's successful calls (failed attempts
+// stay in the profile only). A nil profile yields empty metrics.
+func FromProfile(p *obs.QueryProfile, net NetModel) *Metrics {
+	m := &Metrics{Net: net}
+	if p == nil {
+		return m
+	}
+	for _, pr := range p.Rounds {
+		r := RoundStat{Name: pr.Name, CoordTime: pr.CoordTime}
+		for _, c := range pr.Calls {
+			if !c.Failed {
+				r.Calls = append(r.Calls, c)
+			}
+		}
+		m.Rounds = append(m.Rounds, r)
+	}
+	return m
+}
 
-// AddRound appends a completed round.
-func (m *Metrics) AddRound(r RoundStat) { m.Rounds = append(m.Rounds, r) }
+func (m *Metrics) sum(f func(*RoundStat) int) int {
+	n := 0
+	for i := range m.Rounds {
+		n += f(&m.Rounds[i])
+	}
+	return n
+}
+
+func (m *Metrics) sumDur(f func(*RoundStat) time.Duration) time.Duration {
+	var d time.Duration
+	for i := range m.Rounds {
+		d += f(&m.Rounds[i])
+	}
+	return d
+}
 
 // NumRounds returns the number of synchronization rounds.
 func (m *Metrics) NumRounds() int { return len(m.Rounds) }
 
-// TotalBytes returns all bytes moved in both directions.
+// TotalBytes returns all wire bytes moved in both directions.
 func (m *Metrics) TotalBytes() int { return m.TotalBytesDown() + m.TotalBytesUp() }
 
-// TotalBytesDown returns coordinator→sites bytes across rounds.
-func (m *Metrics) TotalBytesDown() int {
-	n := 0
-	for i := range m.Rounds {
-		n += m.Rounds[i].BytesDown()
-	}
-	return n
-}
+// TotalBytesDown returns coordinator→sites wire bytes across rounds.
+func (m *Metrics) TotalBytesDown() int { return m.sum((*RoundStat).BytesDown) }
 
-// TotalBytesUp returns sites→coordinator bytes across rounds.
-func (m *Metrics) TotalBytesUp() int {
-	n := 0
-	for i := range m.Rounds {
-		n += m.Rounds[i].BytesUp()
-	}
-	return n
-}
+// TotalBytesUp returns sites→coordinator wire bytes across rounds.
+func (m *Metrics) TotalBytesUp() int { return m.sum((*RoundStat).BytesUp) }
+
+// TotalDataBytes returns the data-plane bytes moved in both directions: the
+// deterministic quantity the paper's byte figures report.
+func (m *Metrics) TotalDataBytes() int { return m.TotalDataDown() + m.TotalDataUp() }
+
+// TotalDataDown returns coordinator→sites data-plane bytes across rounds.
+func (m *Metrics) TotalDataDown() int { return m.sum((*RoundStat).DataDown) }
+
+// TotalDataUp returns sites→coordinator data-plane bytes across rounds.
+func (m *Metrics) TotalDataUp() int { return m.sum((*RoundStat).DataUp) }
 
 // TotalRows returns all base/sub-aggregate rows moved in both directions
 // (the "groups transferred" unit of the paper's Sect. 5.2 analysis).
 func (m *Metrics) TotalRows() int {
-	n := 0
-	for i := range m.Rounds {
-		n += m.Rounds[i].RowsDown() + m.Rounds[i].RowsUp()
-	}
-	return n
+	return m.sum(func(r *RoundStat) int { return r.RowsDown() + r.RowsUp() })
 }
 
 // TotalMessages returns the number of site exchanges (one request + one
 // response each).
-func (m *Metrics) TotalMessages() int {
-	n := 0
-	for i := range m.Rounds {
-		n += len(m.Rounds[i].Calls)
-	}
-	return n
-}
+func (m *Metrics) TotalMessages() int { return m.sum(func(r *RoundStat) int { return len(r.Calls) }) }
 
 // SiteTime returns the summed per-round maximum site computation time: the
 // compute component of response time with sites running in parallel.
-func (m *Metrics) SiteTime() time.Duration {
-	var d time.Duration
-	for i := range m.Rounds {
-		d += m.Rounds[i].MaxSiteCompute()
-	}
-	return d
-}
+func (m *Metrics) SiteTime() time.Duration { return m.sumDur((*RoundStat).MaxSiteCompute) }
 
 // SiteTimeTotal returns the total computation across all sites (work, not
 // response time).
 func (m *Metrics) SiteTimeTotal() time.Duration {
-	var d time.Duration
-	for i := range m.Rounds {
-		for _, c := range m.Rounds[i].Calls {
+	return m.sumDur(func(r *RoundStat) time.Duration {
+		var d time.Duration
+		for _, c := range r.Calls {
 			d += c.Compute
 		}
-	}
-	return d
+		return d
+	})
 }
 
 // CoordTime returns the coordinator's synchronization time across rounds.
 func (m *Metrics) CoordTime() time.Duration {
-	var d time.Duration
-	for i := range m.Rounds {
-		d += m.Rounds[i].CoordTime
-	}
-	return d
+	return m.sumDur(func(r *RoundStat) time.Duration { return r.CoordTime })
 }
 
 // CommTime returns the modeled communication component of response time:
 // per round, the slowest site's request+response transfer.
 func (m *Metrics) CommTime() time.Duration {
-	var d time.Duration
-	for i := range m.Rounds {
-		d += m.Rounds[i].MaxSiteComm(m.Net)
-	}
-	return d
+	return m.sumDur(func(r *RoundStat) time.Duration { return r.MaxSiteComm(m.Net) })
 }
 
 // ResponseTime is the modeled end-to-end query evaluation time: per round,

@@ -4,11 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"skalla/internal/obs"
 )
 
 func sampleMetrics() *Metrics {
-	m := NewMetrics(NetModel{LatencyPerMsg: time.Millisecond, BytesPerSec: 1 << 20})
-	m.AddRound(RoundStat{
+	m := &Metrics{Net: NetModel{LatencyPerMsg: time.Millisecond, BytesPerSec: 1 << 20}}
+	m.Rounds = append(m.Rounds, RoundStat{
 		Name: "base",
 		Calls: []Call{
 			{Site: 0, BytesDown: 100, BytesUp: 1 << 20, RowsDown: 0, RowsUp: 50, Compute: 3 * time.Millisecond},
@@ -16,7 +18,7 @@ func sampleMetrics() *Metrics {
 		},
 		CoordTime: 2 * time.Millisecond,
 	})
-	m.AddRound(RoundStat{
+	m.Rounds = append(m.Rounds, RoundStat{
 		Name: "MD1",
 		Calls: []Call{
 			{Site: 0, BytesDown: 1 << 20, BytesUp: 512, RowsDown: 120, RowsUp: 40, Compute: 7 * time.Millisecond},
@@ -116,8 +118,34 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestEmptyMetrics(t *testing.T) {
-	m := NewMetrics(NetModel{})
+	m := &Metrics{Net: NetModel{}}
 	if m.ResponseTime() != 0 || m.TotalBytes() != 0 || m.NumRounds() != 0 {
 		t.Error("empty metrics must be zero")
+	}
+}
+
+// FromProfile keeps every round and only the successful calls: a failed
+// attempt's traffic is in the profile's record but not in the metrics.
+func TestFromProfile(t *testing.T) {
+	p := &obs.QueryProfile{Rounds: []obs.RoundProfile{
+		{Name: "base", CoordTime: time.Millisecond, Calls: []obs.SiteCall{
+			{Site: 0, Attempt: 1, Failed: true, Err: "boom", BytesDown: 9},
+			{Site: 0, Attempt: 2, BytesDown: 10, BytesUp: 20, DataUp: 15, RowsUp: 3},
+			{Site: 1, Attempt: 1, BytesDown: 10, BytesUp: 30, DataUp: 25, RowsUp: 4},
+		}},
+		{Name: "MD1"},
+	}}
+	m := FromProfile(p, NetModel{})
+	if m.NumRounds() != 2 || m.TotalMessages() != 2 {
+		t.Fatalf("rounds %d, messages %d; want 2 and 2", m.NumRounds(), m.TotalMessages())
+	}
+	if m.TotalBytesDown() != 20 || m.TotalBytesUp() != 50 || m.TotalDataBytes() != 40 || m.TotalRows() != 7 {
+		t.Errorf("totals: down %d up %d data %d rows %d", m.TotalBytesDown(), m.TotalBytesUp(), m.TotalDataBytes(), m.TotalRows())
+	}
+	if m.CoordTime() != time.Millisecond {
+		t.Errorf("coord time %v", m.CoordTime())
+	}
+	if FromProfile(nil, NetModel{}).NumRounds() != 0 {
+		t.Error("nil profile must give empty metrics")
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSummaryEmpty(t *testing.T) {
-	m := NewMetrics(NetModel{})
+	m := &Metrics{Net: NetModel{}}
 	s := m.Summary()
 	if s.SiteCompute.Max != 0 || s.SyncMerge.P95 != 0 || s.CallBytesDown.P50 != 0 {
 		t.Errorf("empty metrics summary not zero: %+v", s)
@@ -14,7 +14,7 @@ func TestSummaryEmpty(t *testing.T) {
 }
 
 func TestSummaryPercentiles(t *testing.T) {
-	m := NewMetrics(NetModel{})
+	m := &Metrics{Net: NetModel{}}
 	// 100 calls with compute 1ms..100ms and bytes 10..1000 spread over two
 	// rounds with coord times 5ms and 15ms.
 	var calls1, calls2 []Call
@@ -31,8 +31,8 @@ func TestSummaryPercentiles(t *testing.T) {
 			calls2 = append(calls2, c)
 		}
 	}
-	m.AddRound(RoundStat{Name: "base", Calls: calls1, CoordTime: 5 * time.Millisecond})
-	m.AddRound(RoundStat{Name: "MD1", Calls: calls2, CoordTime: 15 * time.Millisecond})
+	m.Rounds = append(m.Rounds, RoundStat{Name: "base", Calls: calls1, CoordTime: 5 * time.Millisecond})
+	m.Rounds = append(m.Rounds, RoundStat{Name: "MD1", Calls: calls2, CoordTime: 15 * time.Millisecond})
 
 	s := m.Summary()
 	if s.SiteCompute.P50 != 50*time.Millisecond {
@@ -57,8 +57,8 @@ func TestSummaryPercentiles(t *testing.T) {
 }
 
 func TestSummarySingleSample(t *testing.T) {
-	m := NewMetrics(NetModel{})
-	m.AddRound(RoundStat{
+	m := &Metrics{Net: NetModel{}}
+	m.Rounds = append(m.Rounds, RoundStat{
 		Name:      "base",
 		Calls:     []Call{{Compute: 3 * time.Millisecond, BytesDown: 42, BytesUp: 24}},
 		CoordTime: time.Millisecond,

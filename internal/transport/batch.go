@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"skalla/internal/engine"
 	"skalla/internal/obs"
@@ -29,8 +28,7 @@ const maxBatchMembers = 255
 // the member index. queryIDs (optional, parallel to reqs) attributes each
 // member to the query it serves in site logs and per-query metrics. On
 // success it returns one stats.Call per member whose byte totals sum exactly
-// to what crossed the wire, so profile/metrics reconciliation holds under
-// batching.
+// to what crossed the wire, each with its own exact data-plane bytes.
 type BatchSite interface {
 	Site
 	EvalOperatorBatchStream(ctx context.Context, reqs []engine.OperatorRequest, queryIDs []string, sink func(member int, block *relation.Relation) error) ([]stats.Call, error)
@@ -93,53 +91,55 @@ func evalBatchBackend(ctx context.Context, b Backend, reqs []engine.OperatorRequ
 	return nil
 }
 
-// batchCalls splits one batched exchange into per-member call records. The
-// envelope (request + terminal frame) bytes are divided evenly with the
-// remainder on early members, so the per-member BytesDown/BytesUp sum exactly
-// to the wire totals; member 0 carries the exchange's compute time and site
-// breakdown (the scan ran once — attributing it once keeps histogram and
-// profile sums equal to the unbatched accounting), the rest carry empty
-// non-nil breakdowns.
-func batchCalls(siteID int, n, down, up int, rowsDown, rowsUp []int, start time.Time, elapsed time.Duration, attempt int, computeNS int64, prof *obs.SiteBreakdown) []stats.Call {
-	calls := make([]stats.Call, n)
-	for m := 0; m < n; m++ {
-		c := stats.Call{
-			Site:      siteID,
-			BytesDown: down / n,
-			BytesUp:   up / n,
-			RowsDown:  rowsDown[m],
-			RowsUp:    rowsUp[m],
-			Start:     start,
-			Elapsed:   elapsed,
-			Attempt:   attempt,
-			Profile:   &obs.SiteBreakdown{},
+// batchMembers starts one call record per member of a stamped, encoded
+// batch request, holding the member's shipped base rows and their exact
+// data-plane bytes; the stream adds RowsUp and DataUp per member.
+func batchMembers(req *Request) []stats.Call {
+	calls := make([]stats.Call, len(req.Batch))
+	for m, r := range req.Batch {
+		if r.Base != nil {
+			calls[m].RowsDown = r.Base.Len()
 		}
-		if m < down%n {
-			c.BytesDown++
-		}
-		if m < up%n {
-			c.BytesUp++
-		}
-		if m == 0 {
-			c.Compute = time.Duration(computeNS)
-			if prof != nil {
-				c.Profile = prof
-			}
-		}
-		calls[m] = c
+		calls[m].DataDown = r.Base.FrameBytes()
 	}
 	return calls
 }
 
-// batchRowsDown counts each member's shipped base rows.
-func batchRowsDown(reqs []engine.OperatorRequest) []int {
-	rows := make([]int, len(reqs))
-	for m := range reqs {
-		if reqs[m].Base != nil {
-			rows[m] = reqs[m].Base.Len()
+// splitBatch completes the per-member call records of one batched exchange
+// ex (whose BytesDown/BytesUp are the wire totals). Each member keeps its
+// exact data-plane bytes; the control-plane bytes (wire total minus every
+// member's data) are divided evenly with the remainder on early members, so
+// the per-member BytesDown/BytesUp sum exactly to the wire totals. Member 0
+// carries the exchange's compute time and site breakdown (the scan ran once
+// — attributing it once keeps histogram and profile sums equal to the
+// unbatched accounting); the rest carry empty non-nil breakdowns.
+func splitBatch(ex stats.Call, calls []stats.Call) []stats.Call {
+	n := len(calls)
+	ctrlDown, ctrlUp := ex.BytesDown, ex.BytesUp
+	for _, c := range calls {
+		ctrlDown -= c.DataDown
+		ctrlUp -= c.DataUp
+	}
+	share := func(total, m int) int {
+		if m < total%n {
+			return total/n + 1
+		}
+		return total / n
+	}
+	for m := range calls {
+		c := &calls[m]
+		c.Site, c.Start, c.Elapsed, c.Attempt = ex.Site, ex.Start, ex.Elapsed, ex.Attempt
+		c.BytesDown = c.DataDown + share(ctrlDown, m)
+		c.BytesUp = c.DataUp + share(ctrlUp, m)
+		c.Breakdown = &obs.SiteBreakdown{}
+		if m == 0 {
+			c.Compute = ex.Compute
+			if ex.Breakdown != nil {
+				c.Breakdown = ex.Breakdown
+			}
 		}
 	}
-	return rows
+	return calls
 }
 
 // recordBatchCalls folds per-member call records into the obs registry under

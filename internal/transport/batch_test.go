@@ -54,8 +54,8 @@ func runBatch(t *testing.T, site Site, reqs []engine.OperatorRequest) ([]*relati
 
 // TestEvalBatchMatchesSolo: over every transport flavour, a batched exchange
 // must deliver each member exactly what a solo stream would, with one call
-// record per member whose row counts match and whose envelope bytes split
-// evenly.
+// record per member whose row counts match, whose data-plane bytes are its
+// own, and whose control-plane bytes split evenly.
 func TestEvalBatchMatchesSolo(t *testing.T) {
 	for name, site := range streamSites(t) {
 		t.Run(name, func(t *testing.T) {
@@ -92,17 +92,39 @@ func TestEvalBatchMatchesSolo(t *testing.T) {
 				if calls[m].Site != site.ID() {
 					t.Errorf("member %d Site = %d", m, calls[m].Site)
 				}
-				if calls[m].Profile == nil {
+				if calls[m].Breakdown == nil {
 					t.Errorf("member %d missing site breakdown", m)
 				}
+				// Each member carries its exact data-plane bytes: its base
+				// fragment's codec frame down, its own block frames up.
+				wantDown := 0
+				if name != "fast" {
+					frame, err := relation.Marshal(reqs[m].Base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantDown = len(frame)
+					if calls[m].DataUp == 0 && calls[m].RowsUp > 0 {
+						t.Errorf("member %d returned %d rows in zero data bytes", m, calls[m].RowsUp)
+					}
+				}
+				if calls[m].DataDown != wantDown {
+					t.Errorf("member %d DataDown = %d, want %d", m, calls[m].DataDown, wantDown)
+				}
 			}
-			// Envelope bytes divide evenly (remainder on early members), so
-			// the per-member totals reconcile exactly with the wire.
-			if d := calls[0].BytesDown - calls[1].BytesDown; d < 0 || d > 1 {
-				t.Errorf("BytesDown split %d/%d not even", calls[0].BytesDown, calls[1].BytesDown)
+			// Only the control-plane share divides evenly (remainder on early
+			// members), so the per-member totals reconcile exactly with the
+			// wire.
+			ctrl := func(m int) (int, int) {
+				return calls[m].BytesDown - calls[m].DataDown, calls[m].BytesUp - calls[m].DataUp
 			}
-			if d := calls[0].BytesUp - calls[1].BytesUp; d < 0 || d > 1 {
-				t.Errorf("BytesUp split %d/%d not even", calls[0].BytesUp, calls[1].BytesUp)
+			down0, up0 := ctrl(0)
+			down1, up1 := ctrl(1)
+			if d := down0 - down1; d < 0 || d > 1 {
+				t.Errorf("control BytesDown split %d/%d not even", down0, down1)
+			}
+			if d := up0 - up1; d < 0 || d > 1 {
+				t.Errorf("control BytesUp split %d/%d not even", up0, up1)
 			}
 			if name == "fast" {
 				if calls[0].BytesUp != 0 || calls[0].BytesDown != 0 {

@@ -56,7 +56,7 @@ func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, sta
 	if err := ctx.Err(); err != nil {
 		return nil, stats.Call{}, err
 	}
-	attempt := stampTraceContext(ctx, req)
+	attempt := stampRequest(ctx, req)
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,13 +112,14 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	defer l.mu.Unlock()
 	wallStart := time.Now()
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
-	attempt := stampTraceContext(ctx, wireReq)
+	attempt := stampRequest(ctx, wireReq)
 	if err := l.downEnc.Encode(wireReq); err != nil {
 		return stats.Call{}, fmt.Errorf("transport: encode request: %w", err)
 	}
 	call := stats.Call{
 		Site:      l.site.ID(),
 		BytesDown: l.downBuf.Len(),
+		DataDown:  reqData(wireReq),
 		RowsDown:  reqRows(wireReq),
 		Start:     wallStart,
 		Attempt:   attempt,
@@ -153,6 +154,7 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 		return sink(decBlock)
 	})
 	call.Compute = time.Since(start)
+	call.DataUp = int(dec.Bytes())
 	rec.AddCodecBytes(enc.Bytes())
 	rec.SetEval(call.Compute)
 	call.Elapsed = time.Since(wallStart)
@@ -169,7 +171,7 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	if err := l.upDec.Decode(&term); err != nil {
 		return call, err
 	}
-	call.Profile = term.Profile
+	call.Breakdown = term.Profile
 	call.Elapsed = time.Since(wallStart)
 	recordCall(call, KindOperator, wireReq.QueryID)
 	return call, nil
@@ -188,11 +190,12 @@ func (l *LocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engine.O
 	defer l.mu.Unlock()
 	wallStart := time.Now()
 	wireReq := &Request{Kind: KindBatch, Batch: reqs, BatchQueryIDs: queryIDs}
-	attempt := stampTraceContext(ctx, wireReq)
+	attempt := stampRequest(ctx, wireReq)
 	if err := l.downEnc.Encode(wireReq); err != nil {
 		return nil, fmt.Errorf("transport: encode request: %w", err)
 	}
-	down := l.downBuf.Len()
+	ex := stats.Call{Site: l.site.ID(), BytesDown: l.downBuf.Len(), Start: wallStart, Attempt: attempt}
+	calls := batchMembers(wireReq)
 	var decReq Request
 	if err := l.downDec.Decode(&decReq); err != nil {
 		return nil, fmt.Errorf("transport: decode request: %w", err)
@@ -204,21 +207,21 @@ func (l *LocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engine.O
 	enc := relation.NewEncoder(&l.upBuf)
 	dec := relation.NewDecoder(&l.upBuf)
 	dec.SetPool(&l.pool)
-	up := 0
-	rowsUp := make([]int, len(reqs))
 	start := time.Now()
 	evalErr := evalBatchBackend(ctx, l.site, decReq.Batch, func(m int, block *relation.Relation) error {
 		if err := enc.Encode(block); err != nil {
 			return err
 		}
 		// +2 mirrors the TCP batch stream's per-frame marker and member bytes.
-		up += l.upBuf.Len() + 2
+		ex.BytesUp += l.upBuf.Len() + 2
 		rec.AddCodecBytes(2)
+		data := dec.Bytes()
 		decBlock, err := dec.Decode()
 		if err != nil {
 			return err
 		}
-		rowsUp[m] += decBlock.Len()
+		calls[m].RowsUp += decBlock.Len()
+		calls[m].DataUp += int(dec.Bytes() - data)
 		return sink(m, decBlock)
 	})
 	compute := time.Since(start)
@@ -232,13 +235,13 @@ func (l *LocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engine.O
 	if err := l.upEnc.Encode(&Response{ComputeNS: compute.Nanoseconds(), Profile: &b}); err != nil {
 		return nil, err
 	}
-	up += l.upBuf.Len() + 1
+	ex.BytesUp += l.upBuf.Len() + 1
 	var term Response
 	if err := l.upDec.Decode(&term); err != nil {
 		return nil, err
 	}
-	calls := batchCalls(l.site.ID(), len(reqs), down, up, batchRowsDown(reqs), rowsUp,
-		wallStart, time.Since(wallStart), attempt, term.ComputeNS, term.Profile)
+	ex.Elapsed, ex.Compute, ex.Breakdown = time.Since(wallStart), time.Duration(term.ComputeNS), term.Profile
+	calls = splitBatch(ex, calls)
 	recordBatchCalls(calls, queryIDs)
 	return calls, nil
 }
@@ -284,7 +287,7 @@ func (f *FastLocalSite) call(ctx context.Context, req *Request) (*Response, stat
 	if err := ctx.Err(); err != nil {
 		return nil, stats.Call{}, err
 	}
-	attempt := stampTraceContext(ctx, req)
+	attempt := stampRequest(ctx, req)
 	start := time.Now()
 	resp := dispatch(ctx, f.site, req)
 	call := callFromSizes(f.site.ID(), req, resp, 0, 0)
@@ -331,7 +334,7 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	call.Elapsed = call.Compute
 	rec.SetEval(call.Compute)
 	b := rec.Snapshot()
-	call.Profile = &b
+	call.Breakdown = &b
 	return call, err
 }
 
@@ -344,10 +347,10 @@ func (f *FastLocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engi
 	}
 	rec := obs.NewSiteRecorder()
 	ctx = obs.WithRecorder(ctx, rec)
-	rowsUp := make([]int, len(reqs))
+	calls := batchMembers(&Request{Batch: reqs})
 	start := time.Now()
 	err := evalBatchBackend(ctx, f.site, reqs, func(m int, block *relation.Relation) error {
-		rowsUp[m] += block.Len()
+		calls[m].RowsUp += block.Len()
 		return sink(m, block)
 	})
 	compute := time.Since(start)
@@ -356,8 +359,8 @@ func (f *FastLocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engi
 		return nil, err
 	}
 	b := rec.Snapshot()
-	return batchCalls(f.site.ID(), len(reqs), 0, 0, batchRowsDown(reqs), rowsUp,
-		start, compute, obs.AttemptFrom(ctx), compute.Nanoseconds(), &b), nil
+	ex := stats.Call{Site: f.site.ID(), Start: start, Elapsed: compute, Attempt: obs.AttemptFrom(ctx), Compute: compute, Breakdown: &b}
+	return splitBatch(ex, calls), nil
 }
 
 func baseRows(req engine.OperatorRequest) int {

@@ -117,11 +117,11 @@ func TestSiteProfileOverTCP(t *testing.T) {
 	if call.Start.IsZero() || call.Elapsed <= 0 {
 		t.Errorf("call envelope not stamped: start %v elapsed %v", call.Start, call.Elapsed)
 	}
-	if call.Profile == nil {
-		t.Fatal("call.Profile nil: site breakdown did not cross the wire")
+	if call.Breakdown == nil {
+		t.Fatal("call.Breakdown nil: site breakdown did not cross the wire")
 	}
-	if call.Profile.EvalNS <= 0 {
-		t.Errorf("site breakdown eval time %d, want > 0", call.Profile.EvalNS)
+	if call.Breakdown.EvalNS <= 0 {
+		t.Errorf("site breakdown eval time %d, want > 0", call.Breakdown.EvalNS)
 	}
 
 	// The streaming operator path attaches the breakdown on the terminal frame.
@@ -129,11 +129,11 @@ func TestSiteProfileOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scall.Profile == nil {
-		t.Fatal("stream call.Profile nil")
+	if scall.Breakdown == nil {
+		t.Fatal("stream call.Breakdown nil")
 	}
-	if scall.Profile.CodecBytes <= 0 {
-		t.Errorf("stream breakdown codec bytes %d, want > 0", scall.Profile.CodecBytes)
+	if scall.Breakdown.CodecBytes <= 0 {
+		t.Errorf("stream breakdown codec bytes %d, want > 0", scall.Breakdown.CodecBytes)
 	}
 	if scall.Attempt != 2 {
 		t.Errorf("stream call.Attempt = %d, want 2", scall.Attempt)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"sync"
 	"testing"
 
 	"skalla/internal/engine"
@@ -122,5 +123,59 @@ func TestUntaggedContextUsesNoneLabel(t *testing.T) {
 	}
 	if got := obs.TransportBytes.With("3", "up", "none").Value(); got <= before {
 		t.Error("untagged call not recorded under the none label")
+	}
+}
+
+// idBackend records the query ID each serving context carries.
+type idBackend struct {
+	Backend
+	mu  sync.Mutex
+	ids []string
+}
+
+func (b *idBackend) seen(ctx context.Context) {
+	b.mu.Lock()
+	b.ids = append(b.ids, obs.QueryIDFrom(ctx))
+	b.mu.Unlock()
+}
+
+func (b *idBackend) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, error) {
+	b.seen(ctx)
+	return b.Backend.EvalBase(ctx, bq)
+}
+
+func (b *idBackend) EvalOperatorBlocks(ctx context.Context, req engine.OperatorRequest, emit func(*relation.Relation) error) error {
+	b.seen(ctx)
+	return b.Backend.EvalOperatorBlocks(ctx, req, emit)
+}
+
+// TestTCPServerTagsQueryID: the TCP site server hands its backend a serving
+// context carrying the coordinator's query ID, on the dispatch path (base)
+// and on the stream path (operator) alike.
+func TestTCPServerTagsQueryID(t *testing.T) {
+	backend := &idBackend{Backend: testSite(t, 3)}
+	srv, err := Serve(backend, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	qid := obs.NewQueryID()
+	ctx := obs.WithQueryID(context.Background(), qid)
+	if _, _, err := cli.EvalBase(ctx, gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cli.EvalOperator(ctx, opRequest()); err != nil {
+		t.Fatal(err)
+	}
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if len(backend.ids) != 2 || backend.ids[0] != qid || backend.ids[1] != qid {
+		t.Errorf("backend saw query IDs %q, want [%q %q]", backend.ids, qid, qid)
 	}
 }

@@ -155,8 +155,11 @@ func (s *Server) handle(rawConn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return // connection closed or corrupt stream
 		}
+		// Tag the serving context with the coordinator's query ID, so backend
+		// logs and metrics correlate with its rounds as they do in-process.
+		rctx := obs.WithQueryID(ctx, req.QueryID)
 		if req.Kind == KindOperator || req.Kind == KindBatch {
-			err := s.streamOperator(ctx, conn, enc, &req)
+			err := s.streamOperator(rctx, conn, enc, &req)
 			bytesDown.Add(conn.read - r0)
 			bytesUp.Add(conn.written - w0)
 			if err != nil {
@@ -165,7 +168,7 @@ func (s *Server) handle(rawConn net.Conn) {
 			}
 			continue
 		}
-		resp := dispatch(ctx, s.site, &req)
+		resp := dispatch(rctx, s.site, &req)
 		err := enc.Encode(resp)
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
@@ -403,7 +406,7 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
-	attempt := stampTraceContext(ctx, req)
+	attempt := stampRequest(ctx, req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -470,12 +473,12 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 	start := time.Now()
 	r0, w0 := c.conn.read, c.conn.written
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
-	attempt := stampTraceContext(ctx, wireReq)
+	attempt := stampRequest(ctx, wireReq)
 	if err := c.enc.Encode(wireReq); err != nil {
 		c.poisonLocked()
 		return stats.Call{}, fmt.Errorf("transport: send: %w", err)
 	}
-	call := stats.Call{Site: c.id, RowsDown: reqRows(wireReq), Start: start, Attempt: attempt}
+	call := stats.Call{Site: c.id, DataDown: reqData(wireReq), RowsDown: reqRows(wireReq), Start: start, Attempt: attempt}
 	blockDec := relation.NewDecoder(c.br)
 	blockDec.SetPool(&c.pool)
 	var sinkErr error
@@ -507,8 +510,9 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 			call.Compute = time.Duration(resp.ComputeNS)
 			call.BytesDown = int(c.conn.written - w0)
 			call.BytesUp = int(c.conn.read - r0)
+			call.DataUp = int(blockDec.Bytes())
 			call.Elapsed = time.Since(start)
-			call.Profile = resp.Profile
+			call.Breakdown = resp.Profile
 			recordCall(call, KindOperator, wireReq.QueryID)
 			if resp.Err != "" {
 				return call, errors.New(resp.Err)
@@ -542,14 +546,14 @@ func (c *Client) EvalOperatorBatchStream(ctx context.Context, reqs []engine.Oper
 	start := time.Now()
 	r0, w0 := c.conn.read, c.conn.written
 	wireReq := &Request{Kind: KindBatch, Batch: reqs, BatchQueryIDs: queryIDs}
-	attempt := stampTraceContext(ctx, wireReq)
+	attempt := stampRequest(ctx, wireReq)
 	if err := c.enc.Encode(wireReq); err != nil {
 		c.poisonLocked()
 		return nil, fmt.Errorf("transport: send: %w", err)
 	}
+	calls := batchMembers(wireReq)
 	blockDec := relation.NewDecoder(c.br)
 	blockDec.SetPool(&c.pool)
-	rowsUp := make([]int, len(reqs))
 	var sinkErr error
 	for {
 		marker, err := c.br.ReadByte()
@@ -564,6 +568,7 @@ func (c *Client) EvalOperatorBatchStream(ctx context.Context, reqs []engine.Oper
 				c.poisonLocked()
 				return nil, fmt.Errorf("transport: receive: %w", err)
 			}
+			data := blockDec.Bytes()
 			block, err := blockDec.Decode()
 			if err != nil {
 				c.poisonLocked()
@@ -574,7 +579,8 @@ func (c *Client) EvalOperatorBatchStream(ctx context.Context, reqs []engine.Oper
 				c.poisonLocked()
 				return nil, fmt.Errorf("transport: batch member %d out of range (%d members)", m, len(reqs))
 			}
-			rowsUp[m] += block.Len()
+			calls[m].RowsUp += block.Len()
+			calls[m].DataUp += int(blockDec.Bytes() - data)
 			if sinkErr == nil {
 				sinkErr = sink(m, block)
 			} else {
@@ -589,8 +595,11 @@ func (c *Client) EvalOperatorBatchStream(ctx context.Context, reqs []engine.Oper
 			if resp.Err != "" {
 				return nil, errors.New(resp.Err)
 			}
-			calls := batchCalls(c.id, len(reqs), int(c.conn.written-w0), int(c.conn.read-r0),
-				batchRowsDown(reqs), rowsUp, start, time.Since(start), attempt, resp.ComputeNS, resp.Profile)
+			calls = splitBatch(stats.Call{
+				Site: c.id, BytesDown: int(c.conn.written - w0), BytesUp: int(c.conn.read - r0),
+				Start: start, Elapsed: time.Since(start), Attempt: attempt,
+				Compute: time.Duration(resp.ComputeNS), Breakdown: resp.Profile,
+			}, calls)
 			recordBatchCalls(calls, queryIDs)
 			return calls, sinkErr
 		default:

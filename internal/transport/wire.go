@@ -179,28 +179,58 @@ func respRows(resp *Response) int {
 	return 0
 }
 
-// callFromSizes assembles a stats.Call from measured message sizes, carrying
-// over the site-side breakdown from the response.
+// callFromSizes assembles a call record from measured message sizes,
+// carrying over the site-side breakdown from the response. The data plane is
+// the codec frames of the request's metered relations and of the response's
+// relation; the rest of each message is control plane.
 func callFromSizes(site int, req *Request, resp *Response, down, up int) stats.Call {
 	return stats.Call{
 		Site:      site,
 		BytesDown: down,
 		BytesUp:   up,
+		DataDown:  reqData(req),
+		DataUp:    resp.Rel.FrameBytes(),
 		RowsDown:  reqRows(req),
 		RowsUp:    respRows(resp),
 		Compute:   time.Duration(resp.ComputeNS),
-		Profile:   resp.Profile,
+		Breakdown: resp.Profile,
 	}
 }
 
-// stampTraceContext copies the context's trace fields (query ID, round,
-// attempt) into the wire request, and returns the attempt for the client's
-// own call record.
-func stampTraceContext(ctx context.Context, req *Request) int {
+// stampRequest prepares a request for the wire: it copies the context's
+// trace fields (query ID, round, attempt) into the request and swaps its
+// relations for relation.Metered copies, so that once the request is
+// encoded reqData reports their codec frame bytes. It returns the attempt
+// for the client's own call record.
+func stampRequest(ctx context.Context, req *Request) int {
 	req.QueryID = obs.QueryIDFrom(ctx)
 	req.Round = obs.RoundFrom(ctx)
 	req.Attempt = obs.AttemptFrom(ctx)
+	req.LoadRel = relation.Metered(req.LoadRel)
+	if req.Operator != nil {
+		op := *req.Operator
+		op.Base = relation.Metered(op.Base)
+		req.Operator = &op
+	}
+	if req.Batch != nil {
+		req.Batch = append([]engine.OperatorRequest(nil), req.Batch...)
+		for m := range req.Batch {
+			req.Batch[m].Base = relation.Metered(req.Batch[m].Base)
+		}
+	}
 	return req.Attempt
+}
+
+// reqData returns the data-plane bytes of an encoded, stamped request.
+func reqData(req *Request) int {
+	n := req.LoadRel.FrameBytes()
+	if req.Operator != nil {
+		n += req.Operator.Base.FrameBytes()
+	}
+	for m := range req.Batch {
+		n += req.Batch[m].Base.FrameBytes()
+	}
+	return n
 }
 
 // kindName names a request kind for metric labels and logs.
@@ -227,14 +257,17 @@ func kindName(k ReqKind) string {
 }
 
 // recordCall folds one completed coordinator↔site exchange into the obs
-// registry: bytes and rows in both directions (labeled site + query) and the
-// site compute histogram. Runs once per call, never per row.
+// registry: wire bytes, data-plane bytes and rows in both directions
+// (labeled site + query) and the site compute histogram. Runs once per call,
+// never per row.
 func recordCall(call stats.Call, kind ReqKind, queryID string) {
 	site := strconv.Itoa(call.Site)
 	q := obs.QueryLabel(queryID)
 	obs.TransportCalls.With(site, kindName(kind)).Inc()
 	obs.TransportBytes.With(site, "down", q).Add(int64(call.BytesDown))
 	obs.TransportBytes.With(site, "up", q).Add(int64(call.BytesUp))
+	obs.TransportDataBytes.With(site, "down", q).Add(int64(call.DataDown))
+	obs.TransportDataBytes.With(site, "up", q).Add(int64(call.DataUp))
 	obs.TransportRows.With(site, "down", q).Add(int64(call.RowsDown))
 	obs.TransportRows.With(site, "up", q).Add(int64(call.RowsUp))
 	obs.SiteCompute.With(site).ObserveDuration(call.Compute)

@@ -149,7 +149,7 @@ func TestServeCatalogGenerationInvalidation(t *testing.T) {
 	}
 
 	gen0 := obs.ServerPlanCacheMisses.With("generation").Value()
-	cat.Generation++ // schema/placement change: cached plans are stale
+	cat.Bump() // schema/placement change: cached plans are stale
 	fresh, hit := query()
 	if hit {
 		t.Error("statement after Generation bump reported a cache hit")
@@ -220,7 +220,7 @@ func TestServeMemBudgetIsolation(t *testing.T) {
 // TestFacadeConcurrentQueries runs many goroutines through one Cluster (the
 // library API, no server) under the race detector with admission and the plan
 // cache installed. Profiles must not cross-contaminate: every concurrent
-// execution's communication byte totals must equal the serial run's, and
+// execution's data-plane byte totals must equal the serial run's, and
 // plan-cache hits must return results identical to the cold compile.
 func TestFacadeConcurrentQueries(t *testing.T) {
 	cl, d := loadedFlowCluster(t, WithSerializedTransport(),
@@ -237,7 +237,12 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := serial.Metrics.TotalBytes()
+	// Data-plane bytes (codec frames) are a pure function of plan and data;
+	// the control plane carries timing fields whose gob size varies.
+	wantBytes := serial.Metrics.TotalDataBytes()
+	if wantBytes == 0 {
+		t.Fatal("serialized transport reported no data-plane bytes")
+	}
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -254,8 +259,8 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 			if !res.Rel.EqualMultiset(serial.Rel) {
 				t.Errorf("goroutine %d: result differs from serial run", i)
 			}
-			if got := res.Metrics.TotalBytes(); got != wantBytes {
-				t.Errorf("goroutine %d: byte total %d, want %d (profile cross-contamination?)", i, got, wantBytes)
+			if got := res.Metrics.TotalDataBytes(); got != wantBytes {
+				t.Errorf("goroutine %d: data-plane byte total %d, want %d (profile cross-contamination?)", i, got, wantBytes)
 			}
 			ids[i] = prof.QueryID
 		}(i)

@@ -301,9 +301,7 @@ func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	coord.SetRetryPolicy(cfg.retry)
 	coord.SetMergeWorkers(cfg.workers)
 	coord.SetSlowQueryThreshold(cfg.slowQuery)
-	if cfg.traceTo != nil {
-		coord.SetTracer(core.NewWriterTracer(cfg.traceTo))
-	}
+	coord.SetTrace(cfg.traceTo)
 	if cfg.planCache > 0 {
 		coord.SetPlanCache(cfg.planCache)
 	}
@@ -351,7 +349,8 @@ func WithRowBlocking(rows int) ClusterOption {
 }
 
 // WithTrace streams execution progress — round starts, per-site exchanges,
-// round completions — to the writer while queries run.
+// retries, round completions — to the writer while queries run, one line per
+// event, written from the query's profile as it is recorded.
 func WithTrace(w io.Writer) ClusterOption {
 	return func(c *clusterConfig) { c.traceTo = w }
 }
@@ -546,12 +545,18 @@ func applyOptions(opts []ClusterOption) *clusterConfig {
 func (c *Cluster) NumSites() int { return len(c.sites) }
 
 // Load installs a relation partition at one site. The context bounds the
-// transfer (for TCP-connected sites the partition crosses the wire).
+// transfer (for TCP-connected sites the partition crosses the wire). Once the
+// partition is in place the catalog generation advances, so cached plans and
+// results computed against the old data are not served again.
 func (c *Cluster) Load(ctx context.Context, site int, name string, rel *Relation) error {
 	if site < 0 || site >= len(c.loaders) {
 		return fmt.Errorf("skalla: site %d of %d", site, len(c.loaders))
 	}
-	return c.loaders[site].Load(ctx, name, rel)
+	if err := c.loaders[site].Load(ctx, name, rel); err != nil {
+		return err
+	}
+	c.coord.BumpGeneration()
+	return nil
 }
 
 // LoadPartitions installs parts[i] at site i; len(parts) must match the

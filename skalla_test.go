@@ -346,3 +346,53 @@ func TestClusterTables(t *testing.T) {
 		t.Errorf("inventory rows = %d, want %d", total, d.Global().Len())
 	}
 }
+
+// TestLoadInvalidatesResultCache: reloading a partition must stop the result
+// cache from serving the rows computed from the old data, with or without a
+// distribution catalog.
+func TestLoadInvalidatesResultCache(t *testing.T) {
+	for _, withCatalog := range []bool{true, false} {
+		d, err := flow.Generate(flow.Config{Rows: 600, Routers: 3, SourceAS: 12, DestAS: 4, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []ClusterOption{WithResultCache(8)}
+		if withCatalog {
+			opts = append(opts, WithCatalog(d.Catalog()))
+		}
+		cl, err := NewLocalCluster(3, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := cl.LoadPartitions(ctx, "Flow", d.Parts); err != nil {
+			t.Fatal(err)
+		}
+		q := flowQuery(t)
+		before, err := cl.Execute(ctx, q, AllOptimizations())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Site 0 loses its second half of flows.
+		old := d.Parts[0]
+		d.Parts[0] = &Relation{Schema: old.Schema, Tuples: old.Tuples[:old.Len()/2]}
+		if err := cl.Load(ctx, 0, "Flow", d.Parts[0]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := gmdj.EvalCentral(q, gmdj.Data{"Flow": d.Global()}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.EqualMultisetApprox(before.Rel, 1e-9) {
+			t.Fatal("reload did not change the answer; the test cannot tell")
+		}
+		after, err := cl.Execute(ctx, q, AllOptimizations())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !after.Rel.EqualMultisetApprox(want, 1e-9) {
+			t.Errorf("catalog=%v: query after reload returned stale rows", withCatalog)
+		}
+		cl.Close()
+	}
+}
