@@ -56,7 +56,7 @@ func TestCoordinatorExecutes(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "all", "-net", "lan",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "all", "-net", "lan",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestCoordinatorExplain(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "sync", "-explain",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "rules=local-prefix,sync-skip", "-explain",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestCoordinatorQueryFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-sites", sites, "-data", dir, "-query", qf, "-opts", "none"}, &out); err != nil {
+	if err := run([]string{"-sites", sites, "-data", dir, "-query", qf, "-plan-mode", "none"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "rounds: 3") {
@@ -109,7 +109,6 @@ func TestCoordinatorErrors(t *testing.T) {
 		{},                               // missing sites
 		{"-sites", sites},                // missing query
 		{"-sites", sites, "-q", "bogus"}, // bad query text
-		{"-sites", sites, "-q", testQuery, "-opts", "frob"},                          // bad opts
 		{"-sites", sites, "-q", testQuery, "-data", "/nope"},                         // bad data dir
 		{"-sites", "127.0.0.1:1", "-q", testQuery},                                   // unreachable site
 		{"-sites", sites, "-query", "/nope/q.skalla"},                                // missing file
@@ -160,35 +159,13 @@ func TestFlagConflictsAndDomains(t *testing.T) {
 	}
 }
 
-func TestParseOpts(t *testing.T) {
-	o, err := parseOpts("coalesce,group-site")
-	if err != nil || !o.Coalesce || !o.GroupReduceSite || o.SyncReduce {
-		t.Errorf("parseOpts = %+v, %v", o, err)
-	}
-	if _, err := parseOpts("nope"); err == nil {
-		t.Error("unknown switch must error")
-	}
-	all, _ := parseOpts("all")
-	if !all.Coalesce || !all.SyncReduce || !all.GroupReduceCoord || !all.GroupReduceSite {
-		t.Error("all must enable everything")
-	}
-	none, _ := parseOpts("none")
-	if none.Coalesce || none.SyncReduce {
-		t.Error("none must disable everything")
-	}
-	gc, _ := parseOpts("group-coord,sync")
-	if !gc.GroupReduceCoord || !gc.SyncReduce || gc.Coalesce {
-		t.Error("comma list parsing")
-	}
-}
-
 func TestCoordinatorSQLWithOrderLimit(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
 		"-sites", sites, "-data", dir,
 		"-sql", "SELECT SourceAS, COUNT(*) AS flows FROM Flow GROUP BY SourceAS ORDER BY flows DESC LIMIT 3",
-		"-opts", "all",
+		"-plan-mode", "all",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +193,7 @@ func TestCoordinatorStatsJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.json")
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "none", "-stats-json", path,
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "none", "-stats-json", path,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +265,7 @@ func TestCoordinatorTrace(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "none", "-trace",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "none", "-trace",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -357,8 +334,11 @@ func TestCoordinatorPlanMode(t *testing.T) {
 		t.Errorf("round comparison = %+v", p.Rounds)
 	}
 
-	// Bad selections fail before dialing any site.
-	if err := run([]string{"-sites", sites, "-q", testQuery, "-plan-mode", "frob"}, &out); err == nil {
-		t.Error("bad -plan-mode: expected error")
+	// Bad selections — an unknown mode or an unknown rule name — fail before
+	// dialing any site.
+	for _, mode := range []string{"frob", "rules=coalesce,nope"} {
+		if err := run([]string{"-sites", sites, "-q", testQuery, "-plan-mode", mode}, &out); err == nil {
+			t.Errorf("-plan-mode %s: expected error", mode)
+		}
 	}
 }

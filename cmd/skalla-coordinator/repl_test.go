@@ -30,9 +30,14 @@ func replCluster(t *testing.T) *skalla.Cluster {
 
 func runRepl(t *testing.T, input string) string {
 	t.Helper()
+	return runReplUnder(t, plan.SelectAll(), input)
+}
+
+func runReplUnder(t *testing.T, sel plan.Selection, input string) string {
+	t.Helper()
 	cl := replCluster(t)
 	var out bytes.Buffer
-	if err := repl(cl, strings.NewReader(input), &out, plan.All(), 5); err != nil {
+	if err := repl(cl, strings.NewReader(input), &out, sel, 5); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
@@ -68,13 +73,13 @@ op B.SourceAS = R.SourceAS :: count(*) as c;
 
 func TestReplCommands(t *testing.T) {
 	out := runRepl(t, `
-\opts none
+\mode none
 \explain
 SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
 \help
 \q
 `)
-	for _, frag := range []string{"optimizations: [none]", "explain-only: true", "plan ", "commands:"} {
+	for _, frag := range []string{"mode: none", "explain-only: true", "plan ", "commands:"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in:\n%s", frag, out)
 		}
@@ -85,9 +90,26 @@ SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
 	}
 }
 
+// The session starts under the selection it was given (the CLI's
+// -plan-mode), and \mode switches it for the statements that follow.
+func TestReplModeCommand(t *testing.T) {
+	out := runReplUnder(t, plan.SelectAuto(), `
+\explain
+SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
+\mode none
+SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
+\q
+`)
+	auto := strings.Index(out, "mode auto")
+	none := strings.Index(out, "mode none")
+	if auto < 0 || none < auto {
+		t.Errorf("want an auto plan, then a none plan after \\mode none:\n%s", out)
+	}
+}
+
 func TestReplErrorsKeepSessionAlive(t *testing.T) {
 	out := runRepl(t, `
-\opts bogus
+\mode bogus
 \unknown
 not a valid statement;
 SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;

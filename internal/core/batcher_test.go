@@ -51,7 +51,7 @@ func TestBatchWindowCollapsesScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := plain.Execute(context.Background(), chainQuery(), plan.None())
+	serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestBatchWindowCollapsesScans(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = coord.Execute(context.Background(), chainQuery(), plan.None())
+			results[i], errs[i] = coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		}(i)
 	}
 	wg.Wait()

@@ -24,8 +24,8 @@ func TestRowBlockingPreservesResults(t *testing.T) {
 		for _, blockRows := range []int{0, 1, 7, 1000} {
 			coord, _ := New(sites, cat, stats.NetModel{})
 			coord.SetRowBlocking(blockRows)
-			for _, opts := range []plan.Options{plan.None(), {GroupReduceSite: true, GroupReduceCoord: true}} {
-				res, err := coord.Execute(context.Background(), q, opts)
+			for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectRules("group-reduce-site", "group-reduce-coord")} {
+				res, err := coord.ExecuteWith(context.Background(), q, opts)
 				if err != nil {
 					t.Fatalf("blockRows=%d [%s]: %v", blockRows, opts, err)
 				}
@@ -49,10 +49,10 @@ func TestRowBlockingTrafficAccounting(t *testing.T) {
 		sites, cat := buildCluster(t, global, "T", 3, 4, false)
 		coord, _ := New(sites, cat, stats.NetModel{})
 		coord.SetRowBlocking(blockRows)
-		if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+		if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		if err != nil {
 			t.Fatal(err)
 		}

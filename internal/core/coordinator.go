@@ -131,60 +131,39 @@ func (c *Coordinator) SchemaSource(ctx context.Context) gmdj.SchemaSource {
 	return &schemaSource{ctx: ctx, site: c.sites[0], cache: make(map[string]relation.Schema)}
 }
 
-// Plan compiles the distributed plan for a query without executing it, from
-// the legacy optimization switches (a shim over PlanWith).
-func (c *Coordinator) Plan(ctx context.Context, q gmdj.Query, opts plan.Options) (*plan.Plan, error) {
-	pl, err := plan.New(q, c.SchemaSource(ctx), c.cat, len(c.sites), opts)
-	if err != nil {
-		return nil, err
-	}
-	recordPlanObs(pl)
-	return pl, nil
-}
-
 // PlanWith compiles the distributed plan for a query under a rule selection
 // (including plan.SelectAuto, which picks rules per query from the cost
 // model), without executing it.
 func (c *Coordinator) PlanWith(ctx context.Context, q gmdj.Query, sel plan.Selection) (*plan.Plan, error) {
-	pl, err := plan.Compile(q, c.SchemaSource(ctx), c.cat, len(c.sites), sel, plan.DefaultCostModel(c.net))
+	return c.compile(q, c.SchemaSource(ctx), sel)
+}
+
+// ExecuteWith evaluates a complex GMDJ expression under a rule selection and
+// returns the result relation together with the full metrics record.
+func (c *Coordinator) ExecuteWith(ctx context.Context, q gmdj.Query, sel plan.Selection) (*Result, error) {
+	src := c.SchemaSource(ctx)
+	pl, err := c.compile(q, src, sel)
 	if err != nil {
 		return nil, err
 	}
-	recordPlanObs(pl)
-	return pl, nil
+	return c.ExecutePlan(ctx, pl, src)
 }
 
-// recordPlanObs records the chosen plan's rule applications and cost
-// estimate (auto-mode candidates that lost the enumeration are not counted).
-func recordPlanObs(pl *plan.Plan) {
+// compile compiles q under sel, resolving detail schemas through src (the
+// caller executes through the same source, so schemas are fetched once per
+// query), and records the chosen plan's rule applications and cost estimate
+// (auto-mode candidates that lost the enumeration are not counted).
+func (c *Coordinator) compile(q gmdj.Query, src gmdj.SchemaSource, sel plan.Selection) (*plan.Plan, error) {
+	pl, err := plan.Compile(q, src, c.cat, len(c.sites), sel, plan.DefaultCostModel(c.net))
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range pl.Rules {
 		obs.PlanRulesApplied.With(r).Inc()
 	}
 	obs.PlanCostEstimate.With("down").Set(pl.Estimate.BytesDown)
 	obs.PlanCostEstimate.With("up").Set(pl.Estimate.BytesUp)
-}
-
-// Execute evaluates a complex GMDJ expression and returns the result
-// relation together with the full metrics record.
-func (c *Coordinator) Execute(ctx context.Context, q gmdj.Query, opts plan.Options) (*Result, error) {
-	src := c.SchemaSource(ctx)
-	pl, err := plan.New(q, src, c.cat, len(c.sites), opts)
-	if err != nil {
-		return nil, err
-	}
-	recordPlanObs(pl)
-	return c.ExecutePlan(ctx, pl, src)
-}
-
-// ExecuteWith evaluates a complex GMDJ expression under a rule selection.
-func (c *Coordinator) ExecuteWith(ctx context.Context, q gmdj.Query, sel plan.Selection) (*Result, error) {
-	src := c.SchemaSource(ctx)
-	pl, err := plan.Compile(q, src, c.cat, len(c.sites), sel, plan.DefaultCostModel(c.net))
-	if err != nil {
-		return nil, err
-	}
-	recordPlanObs(pl)
-	return c.ExecutePlan(ctx, pl, src)
+	return pl, nil
 }
 
 // ExecutePlan runs a pre-compiled plan. A query ID is drawn from ctx (or
@@ -204,19 +183,13 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if pl.Fingerprint != "" && (c.results != nil || c.flights != nil) {
 		return c.executeShared(ctx, pl, src)
 	}
-	return c.executeUnshared(ctx, pl, src)
-}
-
-// executeUnshared is the plain execution path: one admission slot, one span,
-// one set of distributed rounds, profile finished and attached.
-func (c *Coordinator) executeUnshared(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource) (*Result, error) {
 	res, prof, err := c.executeSpanned(ctx, pl, src)
 	c.finishProfile(prof, pl, res)
 	return res, err
 }
 
 // executeSpanned runs the admission wait, the query span, and the distributed
-// rounds, returning the unfinished profile so callers (the plain path and the
+// rounds, returning the unfinished profile so callers (the plain paths and the
 // single-flight leader) can attribute it before it lands in the ring.
 func (c *Coordinator) executeSpanned(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource) (*Result, *obs.QueryProfile, error) {
 	queued, err := c.admit.acquire(ctx)

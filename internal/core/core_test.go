@@ -153,15 +153,35 @@ func nonAlignedQuery() gmdj.Query {
 	}
 }
 
-func allOptionCombos() []plan.Options {
-	var out []plan.Options
+// paperSwitches is the selection of the paper's four Sect. 5 switches set in
+// mask: bit 0 coalescing, bit 1 site-side and bit 2 coordinator-side group
+// reduction, bit 3 synchronization reduction (its local-prefix and sync-skip
+// rules together).
+func paperSwitches(mask int) plan.Selection {
+	var names []string
+	for i, rules := range [][]string{{"coalesce"}, {"group-reduce-site"}, {"group-reduce-coord"}, {"local-prefix", "sync-skip"}} {
+		if mask&(1<<i) != 0 {
+			names = append(names, rules...)
+		}
+	}
+	return plan.SelectRules(names...)
+}
+
+// randomSwitches draws each of the four switches with probability 1/2.
+func randomSwitches(rng *rand.Rand) plan.Selection {
+	mask := 0
+	for i := 0; i < 4; i++ {
+		if rng.Intn(2) == 0 {
+			mask |= 1 << i
+		}
+	}
+	return paperSwitches(mask)
+}
+
+func allOptionCombos() []plan.Selection {
+	var out []plan.Selection
 	for i := 0; i < 16; i++ {
-		out = append(out, plan.Options{
-			Coalesce:         i&1 != 0,
-			GroupReduceSite:  i&2 != 0,
-			GroupReduceCoord: i&4 != 0,
-			SyncReduce:       i&8 != 0,
-		})
+		out = append(out, paperSwitches(i))
 	}
 	return out
 }
@@ -189,7 +209,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range allOptionCombos() {
-				res, err := coord.Execute(context.Background(), q, opts)
+				res, err := coord.ExecuteWith(context.Background(), q, opts)
 				if err != nil {
 					t.Fatalf("trial %d %s opts [%s]: %v", trial, qname, opts, err)
 				}
@@ -217,7 +237,7 @@ func TestTheorem2Bound(t *testing.T) {
 	coord, _ := New(sites, cat, stats.NetModel{})
 	for _, q := range []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()} {
 		for _, opts := range allOptionCombos() {
-			res, err := coord.Execute(context.Background(), q, opts)
+			res, err := coord.ExecuteWith(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,11 +257,11 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 	coord, _ := New(sites, cat, stats.NetModel{})
 	ctx := context.Background()
 
-	baseline, err := coord.Execute(ctx, chainQuery(), plan.None())
+	baseline, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := coord.Execute(ctx, chainQuery(), plan.All())
+	full, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +275,7 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 
 	// Site-side guard alone reduces the up-traffic on the aligned query
 	// (each site only matches ~1/n of the groups).
-	guard, err := coord.Execute(ctx, chainQuery(), plan.Options{GroupReduceSite: true})
+	guard, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectRules("group-reduce-site"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +283,7 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 		t.Errorf("guard up-bytes %d, baseline %d", guard.Metrics.TotalBytesUp(), baseline.Metrics.TotalBytesUp())
 	}
 	// Coordinator-side reduction alone reduces the down-traffic.
-	coordRed, err := coord.Execute(ctx, chainQuery(), plan.Options{GroupReduceCoord: true})
+	coordRed, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +334,8 @@ func TestMultiRelationQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, _ := New(sites, nil, stats.NetModel{})
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("[%s]: %v", opts, err)
 		}
@@ -336,8 +356,8 @@ func TestBaseFilterPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +377,7 @@ func TestCoordinatorErrors(t *testing.T) {
 	// Invalid query surfaces a planning error.
 	bad := chainQuery()
 	bad.Base.Cols = []string{"zz"}
-	if _, err := coord.Execute(context.Background(), bad, plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), bad, plan.SelectNone()); err == nil {
 		t.Error("invalid query must error")
 	}
 	// Unknown relation.
@@ -365,13 +385,13 @@ func TestCoordinatorErrors(t *testing.T) {
 	bad2.Base.Detail = "Nope"
 	bad2.Ops[0].Detail = "Nope"
 	bad2.Ops[1].Detail = "Nope"
-	if _, err := coord.Execute(context.Background(), bad2, plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), bad2, plan.SelectNone()); err == nil {
 		t.Error("unknown relation must error")
 	}
 	// Cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := coord.Execute(ctx, chainQuery(), plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone()); err == nil {
 		t.Error("cancelled context must error")
 	}
 }
@@ -394,7 +414,7 @@ func TestEmptyGroupsKeepIdentity(t *testing.T) {
 			Cond: expr.MustParse("B.g = R.g && B.h = R.h && R.v > 50"),
 		}}}},
 	}
-	res, err := coord.Execute(context.Background(), q, plan.Options{GroupReduceSite: true, GroupReduceCoord: true})
+	res, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-site", "group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +506,7 @@ func TestMergerUnit(t *testing.T) {
 
 func TestTrafficBoundFormula(t *testing.T) {
 	src := gmdj.Schemas{"T": tSchema}
-	pl, err := plan.New(chainQuery(), src, nil, 4, plan.None())
+	pl, err := plan.Compile(chainQuery(), src, nil, 4, plan.SelectNone(), plan.DefaultCostModel(stats.NetModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +549,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range allOptionCombos() {
-		res, err := coord.Execute(context.Background(), q, opts)
+		res, err := coord.ExecuteWith(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("[%s]: %v", opts, err)
 		}
@@ -538,13 +558,13 @@ func TestHashPartitionedCluster(t *testing.T) {
 		}
 	}
 	// The aligned query goes fully local under sync reduction.
-	pl, err := coord.Plan(context.Background(), q, plan.Options{SyncReduce: true})
+	pl, err := coord.PlanWith(context.Background(), q, plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil || !pl.FullLocal {
 		t.Errorf("hash partitioning must enable Cor. 1: %v, %v", pl, err)
 	}
 	// Coordinator-side group reduction works off the hash filters too.
-	base, _ := coord.Execute(context.Background(), q, plan.None())
-	red, err := coord.Execute(context.Background(), q, plan.Options{GroupReduceCoord: true})
+	base, _ := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
+	red, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +583,7 @@ func TestCoordinatorTrace(t *testing.T) {
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
 	coord.SetTrace(&buf)
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +600,7 @@ func TestCoordinatorTrace(t *testing.T) {
 	// Detaching stops tracing; results unaffected either way.
 	coord.SetTrace(nil)
 	buf.Reset()
-	res2, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res2, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}

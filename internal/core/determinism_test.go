@@ -41,10 +41,10 @@ func slowSiteCluster(t *testing.T, delay time.Duration) *Coordinator {
 // per round and per site, the codec frames equal an undelayed run's.
 func TestSlowSiteDataPlaneDeterministic(t *testing.T) {
 	fast, slow := slowSiteCluster(t, 0), slowSiteCluster(t, slowSiteDelay)
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
 		var runs [2]*stats.Metrics
 		for i, coord := range []*Coordinator{fast, slow} {
-			res, err := coord.Execute(context.Background(), chainQuery(), opts)
+			res, err := coord.ExecuteWith(context.Background(), chainQuery(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,8 +24,8 @@ func TestProfileMatchesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), chainQuery(), opts)
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestProfileEstimatesJoined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestProfileEstimatesJoined(t *testing.T) {
 func TestProfileRetriedAttempts(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{FailFirst: 2})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +169,14 @@ func TestSlowQueryThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.CoordSlowQueries.Value()
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CoordSlowQueries.Value(); got != before {
 		t.Errorf("slow-query counter moved with no threshold set: %d -> %d", before, got)
 	}
 	coord.SetSlowQueryThreshold(time.Nanosecond)
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CoordSlowQueries.Value(); got != before+1 {

@@ -40,7 +40,7 @@ func TestSiteFailureSurfacesError(t *testing.T) {
 	for failFrom := 1; failFrom <= 4; failFrom++ {
 		coord := faultCluster(t, faultinject.Config{FailFrom: failFrom})
 		for _, opts := range allOptionCombos() {
-			_, err := coord.Execute(context.Background(), chainQuery(), opts)
+			_, err := coord.ExecuteWith(context.Background(), chainQuery(), opts)
 			// With generous budgets some plans finish (full-local plans make
 			// only one call per site); if an error comes back it must be ours.
 			if err != nil && !errors.Is(err, faultinject.ErrInjected) {
@@ -58,7 +58,7 @@ func TestSiteFailureSurfacesError(t *testing.T) {
 func TestPersistentFailureExhaustsRetries(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{FailFrom: 1})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected failure after exhausted retries", err)
 	}
@@ -85,7 +85,7 @@ func corruptSchemaBlock(*relation.Relation) *relation.Relation {
 // by the merger rather than silently dropped.
 func TestCorruptKeyDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptKeyBlock})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err == nil || !strings.Contains(err.Error(), "not in X") {
 		t.Errorf("corrupt key: err = %v", err)
 	}
@@ -97,7 +97,7 @@ func TestCorruptKeyDetected(t *testing.T) {
 func TestCorruptSchemaDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptSchemaBlock})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err == nil {
 		t.Fatal("corrupt schema: expected error")
 	}
@@ -143,10 +143,10 @@ func (s corruptResultSite) EvalLocal(ctx context.Context, req engine.LocalReques
 func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts plan.Options
+		opts plan.Selection
 	}{
-		{"base-union", plan.None()},
-		{"local-merge", plan.Options{SyncReduce: true}},
+		{"base-union", plan.SelectNone()},
+		{"local-merge", plan.SelectRules("local-prefix", "sync-skip")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -159,7 +159,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			coord.SetTrace(&buf)
-			if _, err := coord.Execute(context.Background(), chainQuery(), tc.opts); err == nil {
+			if _, err := coord.ExecuteWith(context.Background(), chainQuery(), tc.opts); err == nil {
 				t.Fatal("corrupt payload must fail the merge")
 			}
 			out := buf.String()
@@ -204,12 +204,12 @@ func TestTCPSiteDeath(t *testing.T) {
 	defer servers[0].Close()
 
 	coord, _ := New(sites, nil, stats.NetModel{})
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatalf("healthy run failed: %v", err)
 	}
 	// Kill site 1's server; the next query must fail cleanly.
 	servers[1].Close()
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err == nil {
 		t.Error("query against dead site must fail")
 	}
 }

@@ -140,11 +140,10 @@ func (c *Coordinator) ExecuteCached(ctx context.Context, text string, sel plan.S
 		return nil, false, err
 	}
 	src := c.SchemaSource(ctx)
-	pl, err := plan.Compile(q, src, c.cat, len(c.sites), sel, plan.DefaultCostModel(c.net))
+	pl, err := c.compile(q, src, sel)
 	if err != nil {
 		return nil, false, err
 	}
-	recordPlanObs(pl)
 	// put adopts a concurrently inserted same-generation entry, so every
 	// racing miss ends up executing the one canonical compiled plan.
 	pl = c.plans.put(key, pl, c.cat.Gen())

@@ -40,7 +40,7 @@ func TestLocalPrefixPlanShape(t *testing.T) {
 	global := randomGlobal(rng, 60, 12)
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
-	pl, err := coord.Plan(context.Background(), prefixQuery(), plan.Options{SyncReduce: true})
+	pl, err := coord.PlanWith(context.Background(), prefixQuery(), plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLocalPrefixMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range allOptionCombos() {
-			res, err := coord.Execute(context.Background(), q, opts)
+			res, err := coord.ExecuteWith(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("[%s]: %v", opts, err)
 			}
@@ -86,11 +86,11 @@ func TestLocalPrefixReducesTraffic(t *testing.T) {
 	sites, cat := buildCluster(t, global, "T", 3, 4, false)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	q := prefixQuery()
-	base, err := coord.Execute(context.Background(), q, plan.None())
+	base, err := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := coord.Execute(context.Background(), q, plan.Options{SyncReduce: true})
+	red, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestTieredMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range allOptionCombos() {
-				res, err := coord.Execute(context.Background(), q, opts)
+				res, err := coord.ExecuteWith(context.Background(), q, opts)
 				if err != nil {
 					t.Fatalf("%s [%s]: %v", qname, opts, err)
 				}
@@ -89,11 +89,11 @@ func TestTieredReducesRootFanIn(t *testing.T) {
 	tierCoord, _ := New(tier, tierCat, stats.NetModel{})
 
 	q := nonAlignedQuery() // groups span every site: worst-case fan-in
-	flatRes, err := flatCoord.Execute(context.Background(), q, plan.None())
+	flatRes, err := flatCoord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tierRes, err := tierCoord.Execute(context.Background(), q, plan.None())
+	tierRes, err := tierCoord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestRelayOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), {GroupReduceSite: true, Coalesce: true}} {
-		res, err := coord.Execute(context.Background(), chainQuery(), opts)
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectRules("coalesce", "group-reduce-site")} {
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), opts)
 		if err != nil {
 			t.Fatalf("[%s]: %v", opts, err)
 		}

@@ -88,7 +88,8 @@ func (c *Coordinator) executeShared(ctx context.Context, pl *plan.Plan, src gmdj
 	g := c.flights
 	if g == nil {
 		// Result cache only: execute normally and commit the result.
-		res, err := c.executeUnshared(ctx, pl, src)
+		res, prof, err := c.executeSpanned(ctx, pl, src)
+		c.finishProfile(prof, pl, res)
 		if err == nil && res != nil {
 			c.commitResult(pl, res.Rel.Clone())
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"skalla/internal/gmdj"
-	"skalla/internal/plan"
 	"skalla/internal/stats"
 )
 
@@ -34,14 +33,9 @@ func TestSyncReduceFilteredBaseRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := plan.Options{
-			Coalesce:         rng.Intn(2) == 0,
-			GroupReduceSite:  rng.Intn(2) == 0,
-			GroupReduceCoord: rng.Intn(2) == 0,
-			SyncReduce:       rng.Intn(2) == 0,
-		}
+		opts := randomSwitches(rng)
 		coord.SetRowBlocking([]int{0, 0, 3}[rng.Intn(3)])
-		res, err := coord.Execute(context.Background(), q, opts)
+		res, err := coord.ExecuteWith(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,8 +142,8 @@ func TestCubeDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All(), {GroupReduceSite: true}} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll(), plan.SelectRules("group-reduce-site")} {
+		res, err := coord.ExecuteWith(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("[%s]: %v", opts, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
+	"skalla/internal/stats"
 )
 
 var flowSchemas = gmdj.Schemas{
@@ -38,6 +39,11 @@ func opWith(name, cond string) gmdj.Operator {
 	}}}
 }
 
+// compile is Compile under the default cost model.
+func compile(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, sel Selection) (*Plan, error) {
+	return Compile(q, src, cat, numSites, sel, DefaultCostModel(stats.DefaultLAN()))
+}
+
 // chainQuery: MD2 depends on MD1's output (non-coalescible), both linked on
 // the partition attribute.
 func chainQuery() gmdj.Query {
@@ -61,20 +67,8 @@ func independentQuery() gmdj.Query {
 	}
 }
 
-func TestOptionsString(t *testing.T) {
-	if None().String() != "none" {
-		t.Errorf("None = %q", None().String())
-	}
-	s := All().String()
-	for _, frag := range []string{"coalesce", "group-reduce-site", "group-reduce-coord", "sync-reduce"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("All() missing %q: %s", frag, s)
-		}
-	}
-}
-
 func TestBaselinePlan(t *testing.T) {
-	p, err := New(chainQuery(), flowSchemas, nil, 4, None())
+	p, err := compile(chainQuery(), flowSchemas, nil, 4, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +84,7 @@ func TestBaselinePlan(t *testing.T) {
 }
 
 func TestCoalescePlan(t *testing.T) {
-	p, err := New(independentQuery(), flowSchemas, nil, 4, Options{Coalesce: true})
+	p, err := compile(independentQuery(), flowSchemas, nil, 4, SelectRules("coalesce"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +95,7 @@ func TestCoalescePlan(t *testing.T) {
 		t.Errorf("Rounds = %d", p.Rounds())
 	}
 	// Dependent chain must not merge.
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{Coalesce: true})
+	p, err = compile(chainQuery(), flowSchemas, nil, 4, SelectRules("coalesce"))
 	if err != nil || p.Merges != 0 {
 		t.Errorf("dependent chain merged: %d, %v", p.Merges, err)
 	}
@@ -109,7 +103,7 @@ func TestCoalescePlan(t *testing.T) {
 
 func TestSyncReducePlan(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err := compile(chainQuery(), flowSchemas, cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +112,7 @@ func TestSyncReducePlan(t *testing.T) {
 	}
 	// Without a catalog, Cor. 1 cannot apply, but Prop. 2 still folds the
 	// base sync (its test is distribution-independent).
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{SyncReduce: true})
+	p, err = compile(chainQuery(), flowSchemas, nil, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +125,7 @@ func TestSyncReducePlan(t *testing.T) {
 		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"DAS"}},
 		Ops:  []gmdj.Operator{opWith("c1", "B.DAS = R.NB")},
 	}
-	p, err = New(q, flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err = compile(q, flowSchemas, cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +136,7 @@ func TestSyncReducePlan(t *testing.T) {
 
 func TestGroupReducePlan(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, Options{GroupReduceCoord: true})
+	p, err := compile(chainQuery(), flowSchemas, cat, 4, SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +156,7 @@ func TestGroupReducePlan(t *testing.T) {
 		t.Error("reducer must drop out-of-range group")
 	}
 	// FullLocal plans skip reducer computation.
-	p, err = New(chainQuery(), flowSchemas, cat, 4, All())
+	p, err = compile(chainQuery(), flowSchemas, cat, 4, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +164,7 @@ func TestGroupReducePlan(t *testing.T) {
 		t.Errorf("full-local plan should not compute reducers: %+v", p.Reducers)
 	}
 	// Without distribution knowledge, no reducers.
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{GroupReduceCoord: true})
+	p, err = compile(chainQuery(), flowSchemas, nil, 4, SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,24 +174,24 @@ func TestGroupReducePlan(t *testing.T) {
 }
 
 func TestPlanErrors(t *testing.T) {
-	if _, err := New(chainQuery(), flowSchemas, nil, 0, None()); err == nil {
+	if _, err := compile(chainQuery(), flowSchemas, nil, 0, SelectNone()); err == nil {
 		t.Error("zero sites must error")
 	}
 	// Catalog/deployment mismatch.
-	if _, err := New(chainQuery(), flowSchemas, flowCatalog(8), 4, None()); err == nil {
+	if _, err := compile(chainQuery(), flowSchemas, flowCatalog(8), 4, SelectNone()); err == nil {
 		t.Error("site-count mismatch must error")
 	}
 	// Invalid query.
 	bad := chainQuery()
 	bad.Base.Cols = []string{"zz"}
-	if _, err := New(bad, flowSchemas, nil, 4, None()); err == nil {
+	if _, err := compile(bad, flowSchemas, nil, 4, SelectNone()); err == nil {
 		t.Error("invalid query must error")
 	}
 }
 
 func TestDescribe(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, All())
+	p, err := compile(chainQuery(), flowSchemas, cat, 4, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +201,7 @@ func TestDescribe(t *testing.T) {
 			t.Errorf("Describe missing %q:\n%s", frag, d)
 		}
 	}
-	p, _ = New(chainQuery(), flowSchemas, nil, 4, Options{SyncReduce: true, GroupReduceSite: true})
+	p, _ = compile(chainQuery(), flowSchemas, nil, 4, SelectRules("local-prefix", "sync-skip", "group-reduce-site"))
 	d = p.Describe()
 	if !strings.Contains(d, "Prop. 2") || !strings.Contains(d, "guard: true") {
 		t.Errorf("Describe:\n%s", d)
@@ -215,7 +209,7 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestKeys(t *testing.T) {
-	p, err := New(chainQuery(), flowSchemas, nil, 2, None())
+	p, err := compile(chainQuery(), flowSchemas, nil, 2, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +229,7 @@ func TestPlanSimplifiesConditions(t *testing.T) {
 		}}}},
 	}
 	cat := flowCatalog(4)
-	p, err := New(q, flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err := compile(q, flowSchemas, cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}

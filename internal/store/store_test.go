@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -134,55 +135,6 @@ func TestSegmentCacheEviction(t *testing.T) {
 	}
 }
 
-// Tables written by earlier versions used bare gob-encoded []Tuple segments
-// with a .gob extension; they must stay readable alongside codec segments.
-func TestLegacyGobSegmentFallback(t *testing.T) {
-	dir := t.TempDir()
-	tbl, err := Create(dir, "T", storeSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := []relation.Tuple{row(100, "old"), row(101, "old")}
-	f, err := os.Create(filepath.Join(dir, "seg00000.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tbl.segments = append(tbl.segments, segmentMeta{File: "seg00000.gob", Rows: len(legacy)})
-	tbl.total += len(legacy)
-	if err := tbl.writeManifest(); err != nil {
-		t.Fatal(err)
-	}
-	// New rows seal into codec segments next to the legacy one.
-	for i := int64(0); i < 4; i++ {
-		if err := tbl.Append(row(i, "new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := reopened.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 6 {
-		t.Fatalf("materialized %d rows, want 6", got.Len())
-	}
-	if got.Tuples[0][1].Str != "old" || got.Tuples[2][1].Str != "new" {
-		t.Fatalf("segment order or content wrong: %v", got.Tuples)
-	}
-}
-
 func TestErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Create(dir, "T", relation.Schema{{Name: "", Kind: relation.KindInt}}, 4); err == nil {
@@ -225,6 +177,34 @@ func TestErrors(t *testing.T) {
 	}
 	if err := ct.Scan(func(relation.Tuple) error { return nil }); err == nil {
 		t.Error("corrupt segment must error on scan")
+	}
+	// A manifest naming a .gob segment: the store reads codec frames only, so
+	// a gob payload is a segment error, not a panic or a fallback decode.
+	gdir := t.TempDir()
+	gt, err := Create(gdir, "T", storeSchema(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := os.Create(filepath.Join(gdir, "seg00000.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(gf).Encode([]relation.Tuple{row(1, "a"), row(2, "b")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gt.segments = append(gt.segments, segmentMeta{File: "seg00000.gob", Rows: 2})
+	gt.total += 2
+	if err := gt.writeManifest(); err != nil {
+		t.Fatal(err)
+	}
+	if gt, err = Open(gdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := gt.Scan(func(relation.Tuple) error { return nil }); err == nil || !strings.Contains(err.Error(), "store: segment") {
+		t.Errorf("gob segment: got %v, want a store: segment error", err)
 	}
 	// Default segment size applies.
 	dt, err := Create(t.TempDir(), "T", storeSchema(), 0)

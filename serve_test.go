@@ -230,10 +230,10 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 
 	// The very first execution pays one-time transport warm-up bytes, so take
 	// the steady-state serial baseline from a second run.
-	if _, err := cl.Execute(context.Background(), q, NoOptimizations()); err != nil {
+	if _, err := cl.Execute(context.Background(), q, SelectNone()); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := cl.Execute(context.Background(), q, NoOptimizations())
+	serial, err := cl.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, prof, err := cl.ExecuteProfiled(context.Background(), q, NoOptimizations())
+			res, err := cl.Execute(context.Background(), q, SelectNone())
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -262,7 +262,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 			if got := res.Metrics.TotalDataBytes(); got != wantBytes {
 				t.Errorf("goroutine %d: data-plane byte total %d, want %d (profile cross-contamination?)", i, got, wantBytes)
 			}
-			ids[i] = prof.QueryID
+			ids[i] = res.Profile.QueryID
 		}(i)
 	}
 	wg.Wait()

@@ -24,7 +24,7 @@
 //	    Op("B.SourceAS = R.SourceAS && B.DestAS = R.DestAS && R.NumBytes >= B.sum1 / B.cnt1",
 //	        skalla.Count("cnt2")).
 //	    Build()
-//	res, _ := cluster.Execute(context.Background(), q, skalla.AllOptimizations())
+//	res, _ := cluster.Execute(context.Background(), q, skalla.SelectAll())
 //	fmt.Println(res.Rel)
 //	fmt.Println(res.Metrics)
 package skalla
@@ -67,11 +67,8 @@ type (
 	Query = gmdj.Query
 	// AggSpec is one aggregate in an operator's list.
 	AggSpec = agg.Spec
-	// Options are the optimization switches of the paper's Sect. 4 (a
-	// compatibility shim over planner rule selection since Egil v2).
-	Options = plan.Options
-	// Selection names a planner rule selection: a mode (none, all, auto) or
-	// an explicit rule list. See WithPlanMode.
+	// Selection says which of the paper's Sect. 4 optimizations run: a
+	// planner mode (none, all, auto) or an explicit rule list.
 	Selection = plan.Selection
 	// Plan is a compiled distributed evaluation plan (rule trace, cost
 	// estimate, and fingerprint included).
@@ -158,14 +155,6 @@ func Variance(col, as string) AggSpec { return AggSpec{Func: agg.Variance, Arg: 
 
 // StdDev is the population standard deviation of col named as.
 func StdDev(col, as string) AggSpec { return AggSpec{Func: agg.StdDev, Arg: col, As: as} }
-
-// NoOptimizations disables every Sect. 4 optimization (the baseline
-// Alg. GMDJDistribEval).
-func NoOptimizations() Options { return plan.None() }
-
-// AllOptimizations enables coalescing, both group reductions, and
-// synchronization reduction.
-func AllOptimizations() Options { return plan.All() }
 
 // QueryBuilder assembles a complex GMDJ expression. Conditions use the text
 // syntax of the paper's θ conditions: "B.col" references the base-values
@@ -281,7 +270,6 @@ type clusterConfig struct {
 	retry         core.RetryPolicy
 	workers       int
 	sel           plan.Selection
-	selSet        bool
 	selErr        error
 	slowQuery     time.Duration
 	planCache     int
@@ -441,8 +429,8 @@ func WithQueryMemBudget(bytes int64) ClusterOption {
 
 // WithPlanMode sets the cluster's default rule selection from the textual
 // plan-mode syntax: "auto" (cost-model-driven per query), "none", "all", or
-// "rules=<name>,..." (see PlannerRules). ExecuteSelected and ExplainSelected
-// plan under it; without this option they behave like "all".
+// "rules=<name>,..." (see PlannerRules). Serve runs every statement under it;
+// without this option the selection is "all".
 func WithPlanMode(mode string) ClusterOption {
 	return func(c *clusterConfig) {
 		sel, err := plan.ParseSelection(mode)
@@ -450,21 +438,7 @@ func WithPlanMode(mode string) ClusterOption {
 			c.selErr = err
 			return
 		}
-		c.sel, c.selSet = sel, true
-	}
-}
-
-// WithRules sets the cluster's default selection to exactly the named
-// planner rules (unknown names fail cluster construction; no names means
-// none).
-func WithRules(names ...string) ClusterOption {
-	return func(c *clusterConfig) {
-		sel, err := plan.ParseSelection(plan.SelectRules(names...).String())
-		if err != nil {
-			c.selErr = err
-			return
-		}
-		c.sel, c.selSet = sel, true
+		c.sel = sel
 	}
 }
 
@@ -474,9 +448,9 @@ func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("skalla: cluster size %d", n)
 	}
-	cfg := applyOptions(opts)
-	if cfg.selErr != nil {
-		return nil, cfg.selErr
+	cfg, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	sites := make([]transport.Site, n)
 	loaders := make([]transport.Loader, n)
@@ -505,9 +479,9 @@ func Connect(addrs []string, opts ...ClusterOption) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("skalla: no site addresses")
 	}
-	cfg := applyOptions(opts)
-	if cfg.selErr != nil {
-		return nil, cfg.selErr
+	cfg, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	cl := &Cluster{sel: cfg.sel}
 	for _, a := range addrs {
@@ -530,15 +504,12 @@ func Connect(addrs []string, opts ...ClusterOption) (*Cluster, error) {
 	return cl, nil
 }
 
-func applyOptions(opts []ClusterOption) *clusterConfig {
-	cfg := &clusterConfig{}
+func applyOptions(opts []ClusterOption) (*clusterConfig, error) {
+	cfg := &clusterConfig{sel: plan.SelectAll()}
 	for _, o := range opts {
 		o(cfg)
 	}
-	if !cfg.selSet {
-		cfg.sel = plan.SelectAll()
-	}
-	return cfg
+	return cfg, cfg.selErr
 }
 
 // NumSites returns the number of sites in the cluster.
@@ -573,21 +544,13 @@ func (c *Cluster) LoadPartitions(ctx context.Context, name string, parts []*Rela
 	return nil
 }
 
-// Execute evaluates a query under the given optimization switches.
-func (c *Cluster) Execute(ctx context.Context, q Query, opts Options) (*Result, error) {
-	return c.coord.Execute(ctx, q, opts)
-}
-
-// ExecuteProfiled evaluates a query and returns the result together with its
-// stitched execution profile: per round, per site call, the coordinator's
-// envelope and the site's own breakdown. The profile is also retained in the
-// in-process ring served at /debug/queries (see LastProfiles).
-func (c *Cluster) ExecuteProfiled(ctx context.Context, q Query, opts Options) (*Result, *QueryProfile, error) {
-	res, err := c.coord.Execute(ctx, q, opts)
-	if res == nil {
-		return nil, nil, err
-	}
-	return res, res.Profile, err
+// Execute evaluates a query under a rule selection. Result.Profile carries
+// the stitched execution profile: per round, per site call, the
+// coordinator's envelope and the site's own breakdown. The profile is also
+// retained in the in-process ring served at /debug/queries (see
+// LastProfiles).
+func (c *Cluster) Execute(ctx context.Context, q Query, sel Selection) (*Result, error) {
+	return c.coord.ExecuteWith(ctx, q, sel)
 }
 
 // LastProfiles returns up to n recently retained query profiles, newest
@@ -599,17 +562,6 @@ func LastProfiles(n int) []*QueryProfile {
 		all = all[:n]
 	}
 	return all
-}
-
-// ExecuteSelected evaluates a query under the cluster's configured plan mode
-// (WithPlanMode / WithRules; all rules when unconfigured).
-func (c *Cluster) ExecuteSelected(ctx context.Context, q Query) (*Result, error) {
-	return c.coord.ExecuteWith(ctx, q, c.sel)
-}
-
-// ExecuteWith evaluates a query under an explicit rule selection.
-func (c *Cluster) ExecuteWith(ctx context.Context, q Query, sel Selection) (*Result, error) {
-	return c.coord.ExecuteWith(ctx, q, sel)
 }
 
 // TableInfo describes one relation at one site.
@@ -629,28 +581,10 @@ func (c *Cluster) Tables(ctx context.Context) ([][]TableInfo, error) {
 	return out, nil
 }
 
-// Explain returns the compiled distributed plan description without
-// executing the query.
-func (c *Cluster) Explain(ctx context.Context, q Query, opts Options) (string, error) {
-	pl, err := c.coord.Plan(ctx, q, opts)
-	if err != nil {
-		return "", err
-	}
-	return pl.Describe(), nil
-}
-
-// ExplainSelected is Explain under the cluster's configured plan mode.
-func (c *Cluster) ExplainSelected(ctx context.Context, q Query) (string, error) {
-	pl, err := c.coord.PlanWith(ctx, q, c.sel)
-	if err != nil {
-		return "", err
-	}
-	return pl.Describe(), nil
-}
-
-// PlanWith compiles (without executing) a plan under an explicit rule
-// selection, exposing the rule trace, cost estimate, and fingerprint.
-func (c *Cluster) PlanWith(ctx context.Context, q Query, sel Selection) (*Plan, error) {
+// Plan compiles (without executing) a plan under a rule selection, exposing
+// the rule trace, cost estimate, and fingerprint; Describe renders it as the
+// EXPLAIN text.
+func (c *Cluster) Plan(ctx context.Context, q Query, sel Selection) (*Plan, error) {
 	return c.coord.PlanWith(ctx, q, sel)
 }
 
@@ -677,9 +611,9 @@ func NewTieredLocalCluster(leaves, relays int, opts ...ClusterOption) (*Cluster,
 	if leaves <= 0 || relays <= 0 || relays > leaves {
 		return nil, fmt.Errorf("skalla: tiered cluster with %d leaves behind %d relays", leaves, relays)
 	}
-	cfg := applyOptions(opts)
-	if cfg.selErr != nil {
-		return nil, cfg.selErr
+	cfg, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	leafSites := make([]transport.Site, leaves)
 	loaders := make([]transport.Loader, leaves)

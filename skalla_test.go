@@ -53,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{NoOptimizations(), AllOptimizations()} {
+	for _, opts := range []Selection{SelectNone(), SelectAll()} {
 		res, err := cl.Execute(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -66,12 +66,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	// The optimized plan for this aligned query is fully local.
-	explain, err := cl.Explain(context.Background(), q, AllOptimizations())
+	pl, err := cl.Plan(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(explain, "full local") {
-		t.Errorf("Explain:\n%s", explain)
+	if explain := pl.Describe(); !strings.Contains(explain, "full local") {
+		t.Errorf("Describe:\n%s", explain)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestQueryBuilderVarAndWhere(t *testing.T) {
 	}
 	cl, _ := loadedFlowCluster(t)
 	defer cl.Close()
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestOpOnDifferentRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, NoOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestConnectTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSerializedTransportOption(t *testing.T) {
 	if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), flowQuery(t), NoOptimizations())
+	res, err := cl.Execute(context.Background(), flowQuery(t), SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestTPCDatasetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +305,11 @@ func TestTieredLocalCluster(t *testing.T) {
 		}
 	}
 	q := flowQuery(t)
-	a, err := flat.Execute(context.Background(), q, NoOptimizations())
+	a, err := flat.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tiered.Execute(context.Background(), q, NoOptimizations())
+	b, err := tiered.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestLoadInvalidatesResultCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := flowQuery(t)
-		before, err := cl.Execute(ctx, q, AllOptimizations())
+		before, err := cl.Execute(ctx, q, SelectAll())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func TestLoadInvalidatesResultCache(t *testing.T) {
 		if want.EqualMultisetApprox(before.Rel, 1e-9) {
 			t.Fatal("reload did not change the answer; the test cannot tell")
 		}
-		after, err := cl.Execute(ctx, q, AllOptimizations())
+		after, err := cl.Execute(ctx, q, SelectAll())
 		if err != nil {
 			t.Fatal(err)
 		}
