@@ -138,7 +138,6 @@ func TestFlagConflictsAndDomains(t *testing.T) {
 		{"serve with -q", []string{"-sites", "x", "-serve", ":0", "-q", testQuery}},
 		{"serve with -sql", []string{"-sites", "x", "-serve", ":0", "-sql", "SELECT 1"}},
 		{"serve with -explain", []string{"-sites", "x", "-serve", ":0", "-explain"}},
-		{"negative workers", []string{"-sites", "x", "-q", testQuery, "-workers", "-1"}},
 		{"negative block-rows", []string{"-sites", "x", "-q", testQuery, "-block-rows", "-1"}},
 		{"negative max-rows", []string{"-sites", "x", "-q", testQuery, "-max-rows", "-1"}},
 		{"zero site-retries", []string{"-sites", "x", "-q", testQuery, "-site-retries", "0"}},

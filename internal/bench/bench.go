@@ -25,12 +25,12 @@ import (
 	"skalla/internal/transport"
 )
 
-// EvalWorkers is the evaluation parallelism applied to every cluster the
-// harness builds: per-site scan workers plus the coordinator's concurrent
-// stage commits. 0 (the default) sizes automatically, 1 forces the fully
-// sequential paper-shaped evaluation. A package-level dial keeps the figure
-// runners' signatures matching the paper's experiments; cmd/skalla-bench
-// sets it from -workers and every measured Row records the value in force.
+// EvalWorkers is the per-site scan parallelism applied to every cluster the
+// harness builds; it sets nothing at the coordinator. 0 (the default) sizes
+// automatically, 1 forces the sequential paper-shaped site scans. A
+// package-level dial keeps the figure runners' signatures matching the
+// paper's experiments; cmd/skalla-bench sets it from -workers and every
+// measured Row records the value in force.
 var EvalWorkers int
 
 // Cluster is a ready-to-query distributed warehouse instance.
@@ -64,7 +64,6 @@ func NewTPCCluster(ctx context.Context, d *tpc.Dataset, n int, net stats.NetMode
 	if err != nil {
 		return nil, err
 	}
-	coord.SetMergeWorkers(EvalWorkers)
 	return &Cluster{Coord: coord, Sites: sites, Catalog: cat}, nil
 }
 
@@ -130,7 +129,7 @@ type Row struct {
 	RowsUp    int
 	Groups    int
 	Rounds    int
-	// Workers is the evaluation parallelism in force when the point was
+	// Workers is the site scan parallelism in force when the point was
 	// measured (EvalWorkers: 0 = auto, 1 = sequential), so series taken at
 	// different parallelism are distinguishable in the JSON export.
 	Workers     int

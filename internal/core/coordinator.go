@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -26,20 +25,19 @@ import (
 // Coordinator executes complex GMDJ expressions against a set of Skalla
 // sites.
 type Coordinator struct {
-	sites        []transport.Site
-	cat          *distrib.Catalog
-	net          stats.NetModel
-	blockRows    int
-	trace        *obs.TraceWriter // nil = no trace lines
-	retry        RetryPolicy
-	mergeWorkers int
-	slowQuery    time.Duration
-	memBudget    int64        // per-query coordinator memory budget (0 = off)
-	admit        *admission   // nil = admission control off
-	plans        *planCache   // nil = plan caching off
-	results      *resultCache // nil = result caching off
-	flights      *flightGroup // nil = single-flight collapsing off
-	batcher      *siteBatcher // nil = site-call batching off
+	sites     []transport.Site
+	cat       *distrib.Catalog
+	net       stats.NetModel
+	blockRows int
+	trace     *obs.TraceWriter // nil = no trace lines
+	retry     RetryPolicy
+	slowQuery time.Duration
+	memBudget int64        // per-query coordinator memory budget (0 = off)
+	admit     *admission   // nil = admission control off
+	plans     *planCache   // nil = plan caching off
+	results   *resultCache // nil = result caching off
+	flights   *flightGroup // nil = single-flight collapsing off
+	batcher   *siteBatcher // nil = site-call batching off
 }
 
 // New creates a coordinator. cat may be nil (no distribution knowledge); net
@@ -66,26 +64,6 @@ func (c *Coordinator) BumpGeneration() { c.cat.Bump() }
 // (Sect. 3.2 row blocking); the coordinator synchronizes blocks as they
 // arrive in either mode. Zero (the default) ships each H_i whole.
 func (c *Coordinator) SetRowBlocking(rows int) { c.blockRows = rows }
-
-// SetMergeWorkers sets how many per-site stage commits the streaming
-// synchronization may run concurrently: 0 (the default) picks
-// min(GOMAXPROCS, sites), 1 restores the serial merge loop, n > 1 allows up
-// to n concurrent commits (X rows are guarded by the merger's lock stripes).
-func (c *Coordinator) SetMergeWorkers(n int) { c.mergeWorkers = n }
-
-func (c *Coordinator) resolveMergeWorkers() int {
-	w := c.mergeWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(c.sites) {
-		w = len(c.sites)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // NumSites returns the number of attached sites.
 func (c *Coordinator) NumSites() int { return len(c.sites) }
@@ -374,10 +352,11 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 //
 // Synchronization is streaming (Sect. 3.2) and fault-tolerant: each site's
 // H_i blocks — as they arrive, while slower sites are still computing — are
-// validated and staged in a per-site buffer, and a completed stream is
-// committed into X with one O(|H_i|) key-indexed merge. Staging is what
-// makes the per-site retry policy sound: a stream that dies after partial
-// blocks is discarded whole and re-run without double-counting into X.
+// validated and staged in a per-site buffer, and the site's goroutine
+// commits its completed stream into X with one O(|H_i|) key-indexed merge,
+// concurrently with the other sites' commits. Staging is what makes the
+// per-site retry policy sound: a stream that dies after partial blocks is
+// discarded whole and re-run without double-counting into X.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, k int) error {
 	op := pl.Query.Ops[k]
 	roundName := fmt.Sprintf("MD%d", k+1)
@@ -400,7 +379,8 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	coordTime += time.Since(t0)
 
-	stages := make(chan *hStage, len(c.sites))
+	var mu sync.Mutex // guards mergeErr and coordTime while sites commit
+	var mergeErr error
 	results := make([]siteResult, len(c.sites))
 	var wg sync.WaitGroup
 	for i, s := range c.sites {
@@ -434,6 +414,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				Guard:     pl.Guard,
 				BlockRows: c.blockRows,
 			}
+			var staged *hStage
 			r := &results[i]
 			r.call, r.err = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
 				st := mg.NewStage(k)
@@ -453,70 +434,33 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 					//skallavet:allow errclass -- batcher seam: siteOperatorStream only relays errors from transport site calls (the retryable class), ctx sentinels, or this callback's own classified errors; the batch delivers them through a member field the dataflow can't follow
 					return call, err
 				}
-				select {
-				case stages <- st:
-					return call, nil
-				case <-ctx.Done():
-					st.Discard()
-					return call, ctx.Err()
-				}
+				staged = st
+				return call, nil
 			})
+			// The commit runs outside the retried call: a merge failure is
+			// the coordinator's, not a site attempt's.
+			if r.err != nil {
+				return // the failed attempt discarded its stage
+			}
+			if ctx.Err() != nil {
+				staged.Discard()
+				return
+			}
+			obs.CoordMergeWorkers.Add(1)
+			t0 := time.Now()
+			err := mg.Commit(staged, k)
+			d := time.Since(t0)
+			obs.CoordMergeWorkers.Add(-1)
+			rs.ObserveMerge(d)
+			mu.Lock()
+			coordTime += d
+			if mergeErr == nil {
+				mergeErr = err
+			}
+			mu.Unlock()
 		}(i, s)
 	}
-	go func() {
-		wg.Wait()
-		close(stages)
-	}()
-
-	var mergeErr error
-	if workers := c.resolveMergeWorkers(); workers <= 1 {
-		for st := range stages {
-			if mergeErr != nil || ctx.Err() != nil {
-				st.Discard()
-				continue // drain so senders never block; cancelled streams end fast
-			}
-			t0 := time.Now()
-			mergeErr = mg.CommitStage(st, k)
-			d := time.Since(t0)
-			coordTime += d
-			rs.ObserveMerge(d)
-		}
-	} else {
-		// Concurrent commits: sync-merge overlaps across sites instead of
-		// serializing behind one merge loop; the merger's lock stripes keep
-		// same-group merges safe (see CommitStageSharded).
-		var mu sync.Mutex // guards mergeErr and coordTime
-		var mwg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for st := range stages {
-			mu.Lock()
-			failed := mergeErr != nil
-			mu.Unlock()
-			if failed || ctx.Err() != nil {
-				st.Discard()
-				continue
-			}
-			sem <- struct{}{}
-			mwg.Add(1)
-			go func(st *hStage) {
-				defer mwg.Done()
-				defer func() { <-sem }()
-				obs.CoordMergeWorkers.Add(1)
-				defer obs.CoordMergeWorkers.Add(-1)
-				t0 := time.Now()
-				err := mg.CommitStageSharded(st, k)
-				d := time.Since(t0)
-				rs.ObserveMerge(d)
-				mu.Lock()
-				coordTime += d
-				if mergeErr == nil {
-					mergeErr = err
-				}
-				mu.Unlock()
-			}(st)
-		}
-		mwg.Wait()
-	}
+	wg.Wait()
 
 	t0 = time.Now()
 	err := ctx.Err()

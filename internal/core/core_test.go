@@ -469,10 +469,20 @@ func TestMergerUnit(t *testing.T) {
 		relation.Column{Name: "avg1_cnt", Kind: relation.KindInt},
 	))
 	h.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0), relation.NewInt(2), relation.NewInt(10), relation.NewInt(2)})
-	if err := m.MergeH(h, 0); err != nil {
+	// commit stages h as one site's operator-0 stream and commits it into X
+	// as operator k.
+	commit := func(h *relation.Relation, k int) error {
+		st := m.NewStage(0)
+		if err := st.Add(h); err != nil {
+			st.Discard()
+			return err
+		}
+		return m.Commit(st, k)
+	}
+	if err := commit(h, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MergeH(h, 0); err != nil { // second site's identical H doubles it
+	if err := commit(h, 0); err != nil { // second site's identical H doubles it
 		t.Fatal(err)
 	}
 	m.RecomputeDerived(1)
@@ -488,11 +498,11 @@ func TestMergerUnit(t *testing.T) {
 	// H with unknown key errors.
 	h2 := h.Clone()
 	h2.Tuples[0][0] = relation.NewInt(99)
-	if err := m.MergeH(h2, 0); err == nil {
+	if err := commit(h2, 0); err == nil {
 		t.Error("unknown key must error")
 	}
 	// Merging the wrong operator errors.
-	if err := m.MergeH(h, 1); err == nil {
+	if err := commit(h, 1); err == nil {
 		t.Error("wrong operator index must error")
 	}
 	// Extending past the last operator errors.

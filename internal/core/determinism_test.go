@@ -12,10 +12,20 @@ import (
 	"skalla/internal/transport/faultinject"
 )
 
-// slowSiteDelay is above the ~16.7 ms (2^24 ns) point where gob's encoding
-// of the response timing fields (ComputeNS, Profile.EvalNS) grows by a byte
-// each.
+// gobTimingStep is where gob's encoding of the response timing fields
+// (ComputeNS, Profile.EvalNS) grows by a byte: both are int64, which gob
+// zigzag-encodes to 2v, so a value of 2^23 ns (≈ 8.4 ms) or more needs one
+// more byte than any smaller one (up to 2^31 ns).
+const gobTimingStep = 1 << 23
+
+// slowSiteDelay is above gobTimingStep, so the slow site's timing fields are
+// a byte wider each than an undelayed run's that stays below it.
 const slowSiteDelay = 20 * time.Millisecond
+
+// fastBaselineAttempts bounds the re-runs of the undelayed baseline: on a
+// loaded machine (a -race run) site 1's evaluation can itself cross
+// gobTimingStep, which erases the byte difference the test asserts.
+const fastBaselineAttempts = 20
 
 // slowSiteCluster builds a three-site serialized cluster whose site 1 is a
 // relay over its leaf, so a delay injected below the relay lands inside the
@@ -42,15 +52,26 @@ func slowSiteCluster(t *testing.T, delay time.Duration) *Coordinator {
 func TestSlowSiteDataPlaneDeterministic(t *testing.T) {
 	fast, slow := slowSiteCluster(t, 0), slowSiteCluster(t, slowSiteDelay)
 	for _, opts := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
-		var runs [2]*stats.Metrics
-		for i, coord := range []*Coordinator{fast, slow} {
+		run := func(coord *Coordinator) *stats.Metrics {
 			res, err := coord.ExecuteWith(context.Background(), chainQuery(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs[i] = res.Metrics
+			return res.Metrics
 		}
-		want, got := runs[0], runs[1]
+		// Precondition: every site-1 call of the baseline reports timings
+		// below gobTimingStep.
+		var want *stats.Metrics
+		for attempt := 0; want == nil; attempt++ {
+			if attempt == fastBaselineAttempts {
+				t.Fatalf("[%s] undelayed site 1 timing reached %v in %d runs; cannot compare envelope sizes",
+					opts, time.Duration(gobTimingStep), fastBaselineAttempts)
+			}
+			if m := run(fast); site1Below(m, gobTimingStep) {
+				want = m
+			}
+		}
+		got := run(slow)
 		if want.TotalDataBytes() == 0 {
 			t.Fatalf("[%s] serialized run reported no data-plane bytes", opts)
 		}
@@ -79,4 +100,20 @@ func TestSlowSiteDataPlaneDeterministic(t *testing.T) {
 			t.Errorf("[%s] wire total %d, undelayed %d: want the slow envelopes counted", opts, got.TotalBytes(), want.TotalBytes())
 		}
 	}
+}
+
+// site1Below reports whether every call of site 1 reports its compute time
+// and its breakdown's evaluation time below limit nanoseconds.
+func site1Below(m *stats.Metrics, limit int64) bool {
+	for _, r := range m.Rounds {
+		for _, c := range r.Calls {
+			if c.Site != 1 {
+				continue
+			}
+			if c.Compute.Nanoseconds() >= limit || (c.Breakdown != nil && c.Breakdown.EvalNS >= limit) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -10,6 +10,7 @@ import (
 
 	"skalla/internal/engine"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -82,12 +83,32 @@ func corruptSchemaBlock(*relation.Relation) *relation.Relation {
 }
 
 // Corrupted synchronization input (keys not present in X) must be detected
-// by the merger rather than silently dropped.
+// by the merger rather than silently dropped. The failing commit is the
+// coordinator's, not the site call's: it must be neither retried nor
+// recorded as a failed site attempt.
 func TestCorruptKeyDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptKeyBlock})
-	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
+	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
+	ctx := obs.WithQueryID(context.Background(), "corrupt-key")
+	_, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 	if err == nil || !strings.Contains(err.Error(), "not in X") {
 		t.Errorf("corrupt key: err = %v", err)
+	}
+	fs := coord.sites[1].(*faultinject.Site)
+	// Base round + one operator attempt; a retried commit would show more.
+	if fs.Calls() > 2 {
+		t.Errorf("corrupt key burned %d calls — retried a merge failure", fs.Calls())
+	}
+	prof := obs.Profiles.Get("corrupt-key")
+	if prof == nil {
+		t.Fatal("failed query left no profile")
+	}
+	for _, r := range prof.Rounds {
+		for _, c := range r.Calls {
+			if c.Failed {
+				t.Errorf("round %s: site %d call recorded as failed (%s); the merge failure is the coordinator's", r.Name, c.Site, c.Err)
+			}
+		}
 	}
 }
 

@@ -132,10 +132,10 @@ func TestMergerBudget(t *testing.T) {
 	if budget.used.Load() <= before {
 		t.Fatal("staged block was not charged")
 	}
-	if err := m.CommitStage(st2, 0); err != nil {
+	if err := m.Commit(st2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := budget.used.Load(); got != before {
-		t.Fatalf("CommitStage left %d bytes charged, want %d", got, before)
+		t.Fatalf("Commit left %d bytes charged, want %d", got, before)
 	}
 }

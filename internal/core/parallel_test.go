@@ -106,10 +106,10 @@ func TestBackoffConcurrentDraws(t *testing.T) {
 	}
 }
 
-// TestCommitStageShardedMatchesSerial commits the same staged streams through
-// the serial path and the sharded path (concurrently, as the coordinator's
-// merge loop does) and demands identical X contents.
-func TestCommitStageShardedMatchesSerial(t *testing.T) {
+// TestConcurrentCommitsMatchSerial commits the same staged streams one after
+// another and from one goroutine per stage (as the operator round's site
+// goroutines do) and demands identical X contents.
+func TestConcurrentCommitsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	q := chainQuery()
 	src := gmdj.Schemas{"T": tSchema}
@@ -152,7 +152,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 		}
 		siteH[s] = h
 	}
-	run := func(sharded bool) *relation.Relation {
+	run := func(concurrent bool) *relation.Relation {
 		segs, err := buildSegments(q, src, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -171,14 +171,14 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if sharded {
+		if concurrent {
 			var wg sync.WaitGroup
 			errc := make(chan error, nSites)
 			for _, st := range stages {
 				wg.Add(1)
 				go func(st *hStage) {
 					defer wg.Done()
-					errc <- m.CommitStageSharded(st, 0)
+					errc <- m.Commit(st, 0)
 				}(st)
 			}
 			wg.Wait()
@@ -190,7 +190,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 			}
 		} else {
 			for _, st := range stages {
-				if err := m.CommitStage(st, 0); err != nil {
+				if err := m.Commit(st, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 	want := sortedText(run(false))
 	for trial := 0; trial < 10; trial++ {
 		if got := sortedText(run(true)); got != want {
-			t.Fatalf("trial %d: sharded commit diverges from serial\ngot:\n%.2000s\nwant:\n%.2000s", trial, got, want)
+			t.Fatalf("trial %d: concurrent commits diverge from serial\ngot:\n%.2000s\nwant:\n%.2000s", trial, got, want)
 		}
 	}
 	// A stage for the wrong operator must be rejected, not merged.
@@ -217,8 +217,8 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 	if err := st.Add(siteH[0].Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitStageSharded(st, 1); err == nil {
-		t.Error("sharded commit of the wrong operator must error")
+	if err := m.Commit(st, 1); err == nil {
+		t.Error("commit of the wrong operator must error")
 	}
 }
 
@@ -257,9 +257,8 @@ func workerCluster(t *testing.T, global *relation.Relation, n int, per int64) ([
 // TestWorkersByteIdenticalMatrix is the pinned-seed property sweep: every
 // chaos-matrix query shape — plain rounds, Prop. 1 guard-filtered rounds,
 // Prop. 2 / Cor. 1 sync-reduced prefix plans, and streamed row blocking — must
-// produce byte-identical results at every tested worker count, with the
-// coordinator's concurrent stage commits enabled alongside the sites'
-// parallel scans.
+// produce byte-identical results at every tested site worker count, with the
+// coordinator's concurrent stage commits alongside the sites' parallel scans.
 func TestWorkersByteIdenticalMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	global := randomGlobal(rng, 900, 16)
@@ -291,7 +290,6 @@ func TestWorkersByteIdenticalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord.SetMergeWorkers(w)
 				coord.SetRowBlocking(round.blockRows)
 				res, err := coord.ExecuteWith(context.Background(), q, round.opts)
 				if err != nil {

@@ -119,10 +119,6 @@ func (pc *planCache) len() int {
 // invalidation contract.
 func (c *Coordinator) SetPlanCache(capacity int) { c.plans = newPlanCache(capacity) }
 
-// PlanCacheLen returns the number of currently cached plans (0 when caching
-// is disabled).
-func (c *Coordinator) PlanCacheLen() int { return c.plans.len() }
-
 // ExecuteCached evaluates the statement identified by text under sel, reusing
 // the prepared plan cached for (text, sel) when the catalog generation still
 // matches; on a miss, parse produces the query, the plan is compiled (auto

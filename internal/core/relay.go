@@ -155,11 +155,18 @@ func (r *Relay) EvalOperatorBlocks(ctx context.Context, req engine.OperatorReque
 	if err != nil {
 		return err
 	}
-	layouts := make([]*agg.Layout, len(req.Op.Vars))
+	// Child H rows carry the key attributes followed by each variable's
+	// physical columns; the merged H has the same shape.
+	keyCols := leadingCols(len(req.Keys))
+	folds := make([]physFold, len(req.Op.Vars))
+	cursor := len(keyCols)
 	for i, v := range req.Op.Vars {
-		if layouts[i], err = agg.NewLayout(v.Aggs, detail); err != nil {
+		layout, err := agg.NewLayout(v.Aggs, detail)
+		if err != nil {
 			return err
 		}
+		folds[i] = physFold{layout: layout, to: cursor, from: cursor}
+		cursor += len(layout.Phys)
 	}
 	parts, err := r.fanOut(ctx, func(ctx context.Context, c transport.Site) (*relation.Relation, error) {
 		rel, _, err := c.EvalOperator(ctx, req)
@@ -168,9 +175,22 @@ func (r *Relay) EvalOperatorBlocks(ctx context.Context, req engine.OperatorReque
 	if err != nil {
 		return err
 	}
-	merged, err := mergeSubAggregates(len(req.Keys), layouts, parts)
-	if err != nil {
-		return err
+	// The merged H keeps first-occurrence row order: the relay's data-plane
+	// bytes follow it.
+	merged := relation.New(parts[0].Schema)
+	f := keyFold{into: merged, index: relation.BuildKeyIndexCols(merged, keyCols), srcKeys: keyCols, folds: folds, insert: true}
+	for _, p := range parts {
+		if err := validateH(p, req.Keys, folds); err != nil {
+			return err
+		}
+		if !p.Schema.Equal(merged.Schema) {
+			return fmt.Errorf("core: relay: child H schema %s, want %s", p.Schema, merged.Schema)
+		}
+		for _, row := range p.Tuples {
+			if err := f.fold(row); err != nil {
+				return err
+			}
+		}
 	}
 	return emitBlocks(merged, req.BlockRows, emit)
 }
@@ -212,49 +232,6 @@ func (r *Relay) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relati
 	}
 	m.RecomputeDerived(req.UpTo)
 	return m.X(), nil
-}
-
-// mergeSubAggregates merges per-child H relations (key columns followed by
-// the operator's physical columns) into one H by key, applying the
-// super-aggregate of each physical column.
-func mergeSubAggregates(numKeys int, layouts []*agg.Layout, parts []*relation.Relation) (*relation.Relation, error) {
-	physWidth := 0
-	for _, l := range layouts {
-		physWidth += len(l.Phys)
-	}
-	out := relation.New(parts[0].Schema)
-	keyCols := make([]int, numKeys)
-	for i := range keyCols {
-		keyCols[i] = i
-	}
-	index := relation.BuildKeyIndexCols(out, keyCols)
-	for _, p := range parts {
-		if !p.Schema.Equal(out.Schema) {
-			return nil, fmt.Errorf("core: relay: child H schema %s, want %s", p.Schema, out.Schema)
-		}
-		for _, row := range p.Tuples {
-			if len(row) != numKeys+physWidth {
-				return nil, fmt.Errorf("core: relay: H row arity %d, want %d", len(row), numKeys+physWidth)
-			}
-			rows := index.Lookup(row, keyCols)
-			if len(rows) == 0 {
-				nrow := row.Clone()
-				out.Tuples = append(out.Tuples, nrow)
-				index.Add(nrow, len(out.Tuples)-1)
-				continue
-			}
-			target := out.Tuples[rows[0]]
-			cursor := numKeys
-			for _, l := range layouts {
-				n := len(l.Phys)
-				if err := l.MergePhys(target[cursor:cursor+n], row[cursor:cursor+n]); err != nil {
-					return nil, err
-				}
-				cursor += n
-			}
-		}
-	}
-	return out, nil
 }
 
 // emitBlocks chunks a relation per the row-blocking request.

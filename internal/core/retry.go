@@ -19,7 +19,7 @@ import (
 // Retrying a site call is only sound because each attempt's results are
 // staged per site before touching the base-result structure X: a stream that
 // dies after delivering partial H_i blocks is discarded whole and re-run, so
-// no block is ever folded into X twice (see merger.NewStage / CommitStage).
+// no block is ever folded into X twice (see merger.NewStage / Commit).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per site call; values < 1
 	// mean 1 (no retry).

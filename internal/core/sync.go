@@ -171,14 +171,102 @@ func (m *merger) identityFor(k int) relation.Tuple {
 	return ident
 }
 
+// physFold places one grouping variable's physical aggregate columns for a
+// synchronization fold: they start at column to of the target row and at
+// column from of the source row.
+type physFold struct {
+	layout   *agg.Layout
+	to, from int
+}
+
+// foldRow folds a source row's physical sub-aggregate columns into a target
+// row, applying each column's super-aggregate (Theorem 1).
+func foldRow(dst, src relation.Tuple, folds []physFold) error {
+	for _, f := range folds {
+		n := len(f.layout.Phys)
+		if err := f.layout.MergePhys(dst[f.to:f.to+n], src[f.from:f.from+n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keyFold is the synchronization of Theorem 1: a target relation, indexed on
+// its key attributes, absorbs source rows by key in O(1) per row. It serves
+// the coordinator's stage commits and local-round merges and the relay's
+// pre-merge of its children's H relations.
+type keyFold struct {
+	into    *relation.Relation
+	index   *relation.KeyIndex // key index over into
+	srcKeys []int              // key attribute positions in source rows
+	folds   []physFold
+	// insert appends a source row whose key into lacks (a copy, charged to
+	// budget); without it such a row is an error.
+	insert bool
+	budget *memBudget
+	// stripes, when set, guard each fold by its target row's stripe so
+	// non-inserting folds into the same relation may run concurrently.
+	stripes *[mergeStripes]sync.Mutex
+}
+
+// fold synchronizes one source row into the target by key.
+func (f *keyFold) fold(src relation.Tuple) error {
+	rows := f.index.Lookup(src, f.srcKeys)
+	switch {
+	case len(rows) > 1:
+		return fmt.Errorf("core: sync: duplicate key in X")
+	case len(rows) == 0 && !f.insert:
+		return fmt.Errorf("core: sync: H row key not in X")
+	case len(rows) == 0:
+		nrow := src.Clone()
+		if err := f.budget.charge(nrow.MemBytes()); err != nil {
+			return err
+		}
+		f.into.Tuples = append(f.into.Tuples, nrow)
+		f.index.Add(nrow, len(f.into.Tuples)-1)
+		return nil
+	}
+	i := rows[0]
+	if f.stripes == nil {
+		return foldRow(f.into.Tuples[i], src, f.folds)
+	}
+	lk := &f.stripes[i%mergeStripes]
+	lk.Lock()
+	err := foldRow(f.into.Tuples[i], src, f.folds)
+	lk.Unlock()
+	return err
+}
+
+// leadingCols returns the column positions [0, n): H rows lead with the key
+// attributes in key order.
+func leadingCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// hFolds lays out operator k's H rows for folding into X: H rows lead with
+// the key attributes, followed by each variable's physical columns in order.
+func (m *merger) hFolds(k int) []physFold {
+	folds := make([]physFold, len(m.segs[k]))
+	cursor := len(m.keys)
+	for i, seg := range m.segs[k] {
+		folds[i] = physFold{layout: seg.layout, to: seg.physStart, from: cursor}
+		cursor += len(seg.layout.Phys)
+	}
+	return folds
+}
+
 // validateH checks one incoming H relation against the expected shape for an
-// operator's segments: key attributes in key order, followed by the
-// operator's physical columns, every row at full arity. A site returning
-// anything else (bug or corruption) must be rejected, not merged.
-func validateH(h *relation.Relation, keys []string, segs []varSegment) error {
+// operator's folds: key attributes in key order, followed by the operator's
+// physical columns, every row at full arity. A site returning anything else
+// (bug or corruption) must be rejected, not merged.
+func validateH(h *relation.Relation, keys []string, folds []physFold) error {
 	want := len(keys)
-	for _, seg := range segs {
-		want += len(seg.layout.Phys)
+	for _, f := range folds {
+		want += len(f.layout.Phys)
 	}
 	if len(h.Schema) != want {
 		return fmt.Errorf("core: sync: H has %d columns, want %d", len(h.Schema), want)
@@ -196,53 +284,21 @@ func validateH(h *relation.Relation, keys []string, segs []varSegment) error {
 	return nil
 }
 
-// MergeH synchronizes one site's sub-aggregate relation H_i for operator k
-// into X. H rows carry the key attributes followed by the operator's
-// physical columns; rows for unknown keys are an internal error (fragments
-// are derived from X, so every returned key must exist).
-func (m *merger) MergeH(h *relation.Relation, k int) error {
-	if k != m.extended-1 {
-		return fmt.Errorf("core: merging operator %d into X extended to %d", k+1, m.extended)
-	}
-	if err := validateH(h, m.keys, m.segs[k]); err != nil {
-		return err
-	}
-	hKeyIdx := make([]int, len(m.keys))
-	for i := range m.keys {
-		hKeyIdx[i] = i // H rows lead with the key attributes in key order
-	}
-	for _, hrow := range h.Tuples {
-		xi, err := m.index.Unique(hrow, hKeyIdx)
-		if err != nil {
-			return fmt.Errorf("core: sync: H row key not in X: %w", err)
-		}
-		xrow := m.x.Tuples[xi]
-		cursor := len(m.keys)
-		for _, seg := range m.segs[k] {
-			n := len(seg.layout.Phys)
-			if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], hrow[cursor:cursor+n]); err != nil {
-				return err
-			}
-			cursor += n
-		}
-	}
-	return nil
-}
-
 // hStage buffers one site's streamed H_i blocks for a single operator-round
-// attempt without touching X. This is what makes per-site retry sound: MergeH
-// folds aggregates into X in place, so a stream that dies after some blocks
-// were merged could not be re-run without double-counting. Instead every
-// block is validated and staged here, and only a stream that completed
+// attempt without touching X. This is what makes per-site retry sound: a
+// commit folds aggregates into X in place, so a stream that dies after some
+// blocks were merged could not be re-run without double-counting. Instead
+// every block is validated and staged here, and only a stream that completed
 // cleanly is committed to X — a failed attempt is discarded whole (returning
 // any pooled block storage) and retried from scratch.
 //
-// Stages are created and filled in the per-site goroutines (they touch no
-// merger state beyond the immutable keys/segments) and committed one at a
-// time on the coordinator's merge loop.
+// Stages are created, filled and committed in the per-site goroutines: a
+// stage touches no merger state beyond the immutable keys and folds until
+// its site's call has succeeded, and then commits concurrently with the
+// other sites' stages.
 type hStage struct {
 	keys   []string
-	segs   []varSegment
+	folds  []physFold
 	rel    *relation.Relation   // accumulated H rows; schema from the first block
 	pool   []*relation.Relation // staged blocks whose storage is recycled on release
 	budget *memBudget           // query memory budget the staged bytes are charged to
@@ -251,7 +307,7 @@ type hStage struct {
 
 // NewStage opens a staging buffer for one site's operator-k stream.
 func (m *merger) NewStage(k int) *hStage {
-	return &hStage{keys: m.keys, segs: m.segs[k], budget: m.budget}
+	return &hStage{keys: m.keys, folds: m.hFolds(k), budget: m.budget}
 }
 
 // Add validates and stages one H block. The block's tuples are referenced,
@@ -260,7 +316,7 @@ func (m *merger) NewStage(k int) *hStage {
 // the query's memory budget; an over-budget charge fails the stage (and with
 // it the query — budget errors are permanent, not retried).
 func (st *hStage) Add(h *relation.Relation) error {
-	if err := validateH(h, st.keys, st.segs); err != nil {
+	if err := validateH(h, st.keys, st.folds); err != nil {
 		return err
 	}
 	if st.rel == nil {
@@ -291,7 +347,7 @@ func (st *hStage) Rows() int {
 
 // Discard drops the staged rows, releases their budget charge and returns
 // block storage to the decode pool; the stage must not be used afterwards.
-// Commit paths also land here (via their defers), which is correct: committed
+// Commit also lands here (via its defer), which is correct: committed
 // aggregates fold into X's existing rows in place, so the staged copies are
 // no longer held either way.
 func (st *hStage) Discard() {
@@ -303,59 +359,32 @@ func (st *hStage) Discard() {
 	st.pool, st.rel = nil, nil
 }
 
-// CommitStage folds one completed stream's staged H rows into X and releases
-// the stage. Validation already ran per block, so this is the same O(|H|)
-// key-indexed merge as MergeH.
-func (m *merger) CommitStage(st *hStage, k int) error {
+// Commit folds one completed operator-k stream's staged H rows into X — the
+// O(|H_i|) key-indexed synchronization of Theorem 1 — and releases the
+// stage. Add already validated every block, so the rows are not checked
+// again. Every H key must already be in X (fragments are derived from X);
+// an unknown key is an internal error.
+//
+// Independent sites' stages commit concurrently during one operator round:
+// each X row fold holds the row's lock stripe, so two stages folding into
+// the same group serialize per row rather than per round. Key lookups need
+// no lock: operator rounds never add X rows, so the key index is read-only
+// while stages land. Commit order across stages is whatever the sites'
+// completions race to, and physical super-aggregate merges are
+// order-insensitive (exact for integer inputs).
+func (m *merger) Commit(st *hStage, k int) error {
 	defer st.Discard()
-	if st.rel == nil {
-		return nil // empty stream: the site had no matching groups
-	}
-	return m.MergeH(st.rel, k)
-}
-
-// CommitStageSharded is CommitStage for concurrent use: independent sites'
-// completed stages may commit in parallel during one operator round. Every
-// X row merge is guarded by its lock stripe, so two stages folding into the
-// same group serialize per row rather than per round. Key lookups need no
-// lock: operator rounds never add X rows (every H key is derived from X), so
-// the key index is read-only while stages are landing. Merge order across
-// stages is whatever the commits race to — exactly the completion-order
-// nondeterminism the serial streaming merge already has — and physical
-// super-aggregate merges are order-insensitive (exact for integer inputs).
-func (m *merger) CommitStageSharded(st *hStage, k int) error {
-	defer st.Discard()
-	if st.rel == nil {
-		return nil
-	}
 	if k != m.extended-1 {
 		return fmt.Errorf("core: merging operator %d into X extended to %d", k+1, m.extended)
 	}
-	if err := validateH(st.rel, m.keys, m.segs[k]); err != nil {
-		return err
+	if st.rel == nil {
+		return nil // empty stream: the site had no matching groups
 	}
-	hKeyIdx := make([]int, len(m.keys))
-	for i := range m.keys {
-		hKeyIdx[i] = i
-	}
-	for _, hrow := range st.rel.Tuples {
-		xi, err := m.index.Unique(hrow, hKeyIdx)
-		if err != nil {
-			return fmt.Errorf("core: sync: H row key not in X: %w", err)
+	f := keyFold{into: m.x, index: m.index, srcKeys: leadingCols(len(m.keys)), folds: st.folds, stripes: &m.stripes}
+	for _, row := range st.rel.Tuples {
+		if err := f.fold(row); err != nil {
+			return err
 		}
-		xrow := m.x.Tuples[xi]
-		lk := &m.stripes[xi%mergeStripes]
-		lk.Lock()
-		cursor := len(m.keys)
-		for _, seg := range m.segs[k] {
-			n := len(seg.layout.Phys)
-			if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], hrow[cursor:cursor+n]); err != nil {
-				lk.Unlock()
-				return err
-			}
-			cursor += n
-		}
-		lk.Unlock()
 	}
 	return nil
 }
@@ -373,28 +402,15 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 			return fmt.Errorf("core: sync: local X row %d has arity %d, want %d", i, len(t), len(xl.Schema))
 		}
 	}
-	for _, lrow := range xl.Tuples {
-		rows := m.index.Lookup(lrow, m.keyIdx)
-		switch len(rows) {
-		case 0:
-			nrow := lrow.Clone()
-			if err := m.budget.charge(nrow.MemBytes()); err != nil {
-				return err
-			}
-			m.x.Tuples = append(m.x.Tuples, nrow)
-			m.index.Add(nrow, len(m.x.Tuples)-1)
-		case 1:
-			xrow := m.x.Tuples[rows[0]]
-			for k := 0; k < m.extended; k++ {
-				for _, seg := range m.segs[k] {
-					n := len(seg.layout.Phys)
-					if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], lrow[seg.physStart:seg.physStart+n]); err != nil {
-						return err
-					}
-				}
-			}
-		default:
-			return fmt.Errorf("core: sync: duplicate key in X")
+	f := keyFold{into: m.x, index: m.index, srcKeys: m.keyIdx, insert: true, budget: m.budget}
+	for k := 0; k < m.extended; k++ {
+		for _, seg := range m.segs[k] {
+			f.folds = append(f.folds, physFold{layout: seg.layout, to: seg.physStart, from: seg.physStart})
+		}
+	}
+	for _, row := range xl.Tuples {
+		if err := f.fold(row); err != nil {
+			return err
 		}
 	}
 	return nil

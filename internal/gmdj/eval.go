@@ -158,15 +158,10 @@ func EvalCentralX(q Query, src DataSource, useHash bool) (*relation.Relation, er
 	return evalPrefixX(q, src, len(q.Ops), useHash, 1)
 }
 
-// EvalPrefixX evaluates the base query and the first upTo operators,
-// returning the intermediate base-result structure X_upTo. The query must
-// already be validated.
-func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Relation, error) {
-	return EvalPrefixXWorkers(q, src, upTo, useHash, 1)
-}
-
-// EvalPrefixXWorkers is EvalPrefixX with worker-parallel scans (see
-// EvalBaseWorkers / AccumulateOperatorWorkers for the workers contract).
+// EvalPrefixXWorkers evaluates the base query and the first upTo operators,
+// returning the intermediate base-result structure X_upTo, with
+// worker-parallel scans (see EvalBaseWorkers / AccumulateOperatorWorkers for
+// the workers contract). The query must already be validated.
 func EvalPrefixXWorkers(q Query, src DataSource, upTo int, useHash bool, workers int) (*relation.Relation, error) {
 	if upTo < 0 || upTo > len(q.Ops) {
 		return nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
@@ -189,7 +184,7 @@ func evalPrefixX(q Query, src DataSource, upTo int, useHash bool, workers int) (
 		if err != nil {
 			return nil, err
 		}
-		x, err = ApplyOperatorWorkers(x, op, detail, useHash, workers)
+		x, err = applyOperator(x, op, detail, useHash, workers)
 		if err != nil {
 			return nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
 		}
@@ -326,20 +321,16 @@ type OperatorAccum struct {
 	Touched []bool
 }
 
-// AccumulateOperator evaluates one MD operator's grouping variables over the
-// detail rows, per Definition 1, producing physical sub-aggregate slices for
-// every base row. The detail source is scanned once per grouping variable;
-// conditions with equality links use a hash-grouping fast path over the base
-// relation, grouping-set conditions use the 2^n-probe cube path, and
+// AccumulateOperatorWorkers evaluates one MD operator's grouping variables
+// over the detail rows, per Definition 1, producing physical sub-aggregate
+// slices for every base row. The detail source is scanned once per grouping
+// variable; conditions with equality links use a hash-grouping fast path over
+// the base relation, grouping-set conditions use the 2^n-probe cube path, and
 // everything else falls back to the literal nested loop (detail-outer, so
 // disk-backed sources are still scanned sequentially).
-func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
-	return AccumulateOperatorWorkers(x, op, detail, useHash, 1)
-}
-
-// AccumulateOperatorWorkers is AccumulateOperator with the detail scans
-// sharded across workers (0 = auto, 1 = sequential; parallelism needs a
-// SplittableSource). Each worker accumulates private per-base-row partials
+//
+// The detail scans are sharded across workers (0 = auto, 1 = sequential;
+// parallelism needs a SplittableSource). Each worker accumulates private per-base-row partials
 // over its shard; the partials are merged with the same super-aggregate
 // decomposition that merges per-site sub-aggregates — Theorem 1 applies
 // unchanged, a worker shard is just a finer horizontal partition — in worker
@@ -597,17 +588,12 @@ func (a *OperatorAccum) physWidth() int {
 	return n
 }
 
-// ApplyOperator evaluates one MD operator: for every tuple of the incoming
+// applyOperator evaluates one MD operator: for every tuple of the incoming
 // base-values relation x it computes, per grouping variable, the aggregates
 // over the detail rows satisfying the variable's condition, and returns x
 // extended with the new physical and derived columns. x is not modified.
-func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*relation.Relation, error) {
-	return ApplyOperatorWorkers(x, op, detail, useHash, 1)
-}
-
-// ApplyOperatorWorkers is ApplyOperator with worker-parallel detail scans
-// (see AccumulateOperatorWorkers for the workers contract).
-func ApplyOperatorWorkers(x *relation.Relation, op Operator, detail RowSource, useHash bool, workers int) (*relation.Relation, error) {
+// Detail scans run on workers (see AccumulateOperatorWorkers).
+func applyOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool, workers int) (*relation.Relation, error) {
 	acc, err := AccumulateOperatorWorkers(x, op, detail, useHash, workers)
 	if err != nil {
 		return nil, err

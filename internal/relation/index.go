@@ -39,9 +39,6 @@ func BuildKeyIndexCols(r *Relation, keyCols []int) *KeyIndex {
 	return ki
 }
 
-// KeyCols returns the indexed column positions.
-func (ki *KeyIndex) KeyCols() []int { return ki.keyCols }
-
 // Lookup returns the row positions whose key columns equal those of probe,
 // where probeCols gives the positions of the key attributes within probe.
 // In the common (collision-free) case no allocation is performed.

@@ -98,11 +98,9 @@ type ServerOptions struct {
 // receives result rows plus execution stats; statements plan under the
 // cluster's configured plan mode. Serve installs the admission, plan-cache,
 // shared-work (result cache, single-flight, site-call batching) and
-// memory-budget settings from opts on the cluster's coordinator (overriding
-// any WithPlanCache / WithMaxConcurrent / WithQueryMemBudget /
-// WithResultCache / WithSingleFlight / WithBatchWindow construction options),
-// so they also govern queries executed directly through the Cluster API while
-// the server runs.
+// memory-budget settings from opts on the cluster's coordinator, so they also
+// govern queries executed directly through the Cluster API while the server
+// runs.
 //
 // Stop the server with QueryServer.Shutdown (drains in-flight statements) or
 // Close (immediate).

@@ -223,9 +223,10 @@ func TestServeMemBudgetIsolation(t *testing.T) {
 // execution's data-plane byte totals must equal the serial run's, and
 // plan-cache hits must return results identical to the cold compile.
 func TestFacadeConcurrentQueries(t *testing.T) {
-	cl, d := loadedFlowCluster(t, WithSerializedTransport(),
-		WithPlanCache(16), WithMaxConcurrent(4))
+	cl, d := loadedFlowCluster(t, WithSerializedTransport())
 	defer cl.Close()
+	cl.coord.SetPlanCache(16)
+	cl.coord.SetAdmission(4, -1) // queue depth 4 x MaxConcurrent
 	q := flowQuery(t)
 
 	// The very first execution pays one-time transport warm-up bytes, so take

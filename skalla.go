@@ -262,24 +262,16 @@ type Cluster struct {
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	catalog       *distrib.Catalog
-	net           stats.NetModel
-	serialized    bool
-	blockRows     int
-	traceTo       io.Writer
-	retry         core.RetryPolicy
-	workers       int
-	sel           plan.Selection
-	selErr        error
-	slowQuery     time.Duration
-	planCache     int
-	admit         bool
-	maxConcurrent int
-	queueDepth    int
-	memBudget     int64
-	resultCache   int
-	singleFlight  bool
-	batchWindow   time.Duration
+	catalog    *distrib.Catalog
+	net        stats.NetModel
+	serialized bool
+	blockRows  int
+	traceTo    io.Writer
+	retry      core.RetryPolicy
+	workers    int
+	sel        plan.Selection
+	selErr     error
+	slowQuery  time.Duration
 }
 
 // configure applies the per-coordinator settings shared by every cluster
@@ -287,27 +279,8 @@ type clusterConfig struct {
 func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	coord.SetRowBlocking(cfg.blockRows)
 	coord.SetRetryPolicy(cfg.retry)
-	coord.SetMergeWorkers(cfg.workers)
 	coord.SetSlowQueryThreshold(cfg.slowQuery)
 	coord.SetTrace(cfg.traceTo)
-	if cfg.planCache > 0 {
-		coord.SetPlanCache(cfg.planCache)
-	}
-	if cfg.admit {
-		coord.SetAdmission(cfg.maxConcurrent, cfg.queueDepth)
-	}
-	if cfg.memBudget > 0 {
-		coord.SetQueryMemBudget(cfg.memBudget)
-	}
-	if cfg.resultCache > 0 {
-		coord.SetResultCache(cfg.resultCache)
-	}
-	if cfg.singleFlight {
-		coord.SetSingleFlight(true)
-	}
-	if cfg.batchWindow > 0 {
-		coord.SetBatchWindow(cfg.batchWindow)
-	}
 }
 
 // WithCatalog attaches distribution knowledge, enabling the
@@ -351,13 +324,11 @@ func WithSiteRetry(p RetryPolicy) ClusterOption {
 	return func(c *clusterConfig) { c.retry = p }
 }
 
-// WithWorkers sets the evaluation parallelism: in-process sites shard their
-// detail scans across up to n workers, and the coordinator commits up to n
-// per-site result streams concurrently during synchronization. 0 (the
-// default) sizes automatically from GOMAXPROCS and the data; 1 forces fully
-// sequential evaluation. For clusters built with Connect the sites run in
-// their own processes — set their parallelism with skalla-site -workers —
-// and this option governs only the coordinator's concurrent merge.
+// WithWorkers sets how many workers each in-process site shards its detail
+// scans across: 0 (the default) sizes automatically from GOMAXPROCS and the
+// data; 1 forces sequential scans. It sets nothing at the coordinator, and
+// has no effect on a cluster built with Connect: those sites run in their own
+// processes — set their parallelism with skalla-site -workers.
 func WithWorkers(n int) ClusterOption {
 	return func(c *clusterConfig) { c.workers = n }
 }
@@ -367,64 +338,6 @@ func WithWorkers(n int) ClusterOption {
 // Zero disables slow-query logging.
 func WithSlowQuery(d time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.slowQuery = d }
-}
-
-// WithPlanCache installs a prepared-plan cache of the given capacity on the
-// coordinator: repeated statement texts reuse their compiled plan, skipping
-// parse and optimize (in auto mode, the whole candidate enumeration). Entries
-// are invalidated when the catalog generation moves. Zero or negative
-// disables caching (the default).
-func WithPlanCache(capacity int) ClusterOption {
-	return func(c *clusterConfig) { c.planCache = capacity }
-}
-
-// WithMaxConcurrent bounds how many queries the coordinator executes at once:
-// up to n run, up to 4n more wait in the admission queue (the wait is
-// recorded in the query profile), and anything beyond that fails immediately
-// with ErrAdmissionReject. n <= 0 bounds at GOMAXPROCS. Without this option
-// admission control is off.
-func WithMaxConcurrent(n int) ClusterOption {
-	return func(c *clusterConfig) { c.admit, c.maxConcurrent, c.queueDepth = true, n, -1 }
-}
-
-// WithResultCache installs a super-aggregate result cache of the given
-// capacity on the coordinator: repeat queries whose plan fingerprint matches
-// a cached entry are served with zero site rounds. Entries are invalidated
-// when the catalog generation moves — both at lookup and again before a
-// finishing query commits, so a generation bump concurrent with an execution
-// can never publish a stale result. Cache hits charge the per-query memory
-// budget for the bytes they retain, exactly like an executed query. Zero or
-// negative disables the cache (the default).
-func WithResultCache(capacity int) ClusterOption {
-	return func(c *clusterConfig) { c.resultCache = capacity }
-}
-
-// WithSingleFlight makes concurrent executions of plans with the same
-// fingerprint collapse into one: a leader runs the distributed rounds on a
-// context detached from any single caller's, and the others await its
-// committed result (each receives a private clone and charges its own memory
-// budget). Off by default; Serve enables it for server deployments.
-func WithSingleFlight() ClusterOption {
-	return func(c *clusterConfig) { c.singleFlight = true }
-}
-
-// WithBatchWindow enables cross-query site-call batching: concurrent operator
-// rounds that aggregate over the same detail relation at the same site and
-// arrive within d of each other ship as one batched exchange the site serves
-// from a single scan of its partition. Zero or negative disables batching
-// (the default). Where single-flight collapses identical plans, batching
-// collapses the scan cost of merely co-located ones.
-func WithBatchWindow(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.batchWindow = d }
-}
-
-// WithQueryMemBudget bounds the coordinator-side memory one query may hold
-// (staged sub-aggregate blocks plus base-result growth, estimated at staging
-// and merge boundaries). A query crossing the budget fails with
-// ErrQueryMemBudget while concurrent queries keep running. Zero or negative
-// disables the budget (the default).
-func WithQueryMemBudget(bytes int64) ClusterOption {
-	return func(c *clusterConfig) { c.memBudget = bytes }
 }
 
 // WithPlanMode sets the cluster's default rule selection from the textual

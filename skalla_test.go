@@ -356,7 +356,7 @@ func TestLoadInvalidatesResultCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []ClusterOption{WithResultCache(8)}
+		var opts []ClusterOption
 		if withCatalog {
 			opts = append(opts, WithCatalog(d.Catalog()))
 		}
@@ -364,6 +364,7 @@ func TestLoadInvalidatesResultCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cl.coord.SetResultCache(8)
 		ctx := context.Background()
 		if err := cl.LoadPartitions(ctx, "Flow", d.Parts); err != nil {
 			t.Fatal(err)

@@ -15,10 +15,10 @@ type memBudget struct {
 	used, limit int64
 }
 
-func (m *merger) NewStage(k int) *hStage              { return &hStage{} }
-func (st *hStage) Add(n int64) error                  { st.bytes += n; return nil }
-func (st *hStage) Rows() int                          { return int(st.bytes) }
-func (st *hStage) Discard()                           {}
-func (m *merger) CommitStage(st *hStage, k int) error { return nil }
-func (b *memBudget) charge(n int64) error             { return nil }
-func (b *memBudget) release(n int64)                  {}
+func (m *merger) NewStage(k int) *hStage         { return &hStage{} }
+func (st *hStage) Add(n int64) error             { st.bytes += n; return nil }
+func (st *hStage) Rows() int                     { return int(st.bytes) }
+func (st *hStage) Discard()                      {}
+func (m *merger) Commit(st *hStage, k int) error { return nil }
+func (b *memBudget) charge(n int64) error        { return nil }
+func (b *memBudget) release(n int64)             {}

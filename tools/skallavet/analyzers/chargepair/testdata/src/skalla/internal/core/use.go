@@ -11,7 +11,7 @@ func commitOrDiscard(m *merger, rows []int64) error {
 			return err
 		}
 	}
-	return m.CommitStage(st, 1)
+	return m.Commit(st, 1)
 }
 
 // Early error return drops the filled stage: its charge leaks.
@@ -22,7 +22,7 @@ func droppedOnError(m *merger, rows []int64, check func() error) error {
 			return err
 		}
 	}
-	return m.CommitStage(st, 1)
+	return m.Commit(st, 1)
 }
 
 // Transfer through a channel with a Discard on the cancel path: fine.
@@ -42,7 +42,7 @@ func drain(m *merger, stages chan *hStage) error {
 			st.Discard()
 			continue
 		}
-		if err := m.CommitStage(st, 3); err != nil {
+		if err := m.Commit(st, 3); err != nil {
 			st.Discard()
 			return err
 		}
@@ -58,7 +58,7 @@ func leakyDrain(m *merger, stages chan *hStage) error {
 		if st.Rows() == 0 {
 			continue
 		}
-		if err := m.CommitStage(st, 3); err != nil {
+		if err := m.Commit(st, 3); err != nil {
 			return err
 		}
 	}
@@ -68,7 +68,7 @@ func leakyDrain(m *merger, stages chan *hStage) error {
 // Receive-bound stage resolved on all paths: fine.
 func receiveCommit(m *merger, stages chan *hStage) error {
 	st := <-stages
-	return m.CommitStage(st, 4)
+	return m.Commit(st, 4)
 }
 
 // Receive-bound stage dropped when empty: the drop path leaks.
@@ -77,7 +77,7 @@ func receiveDrop(m *merger, stages chan *hStage) error {
 	if st.Rows() == 0 {
 		return nil
 	}
-	return m.CommitStage(st, 4)
+	return m.Commit(st, 4)
 }
 
 // Handing the stage to a goroutine worker transfers ownership — the
@@ -89,7 +89,7 @@ func parallelCommit(m *merger, stages chan *hStage, done func(error)) {
 			continue
 		}
 		go func(st *hStage) {
-			done(m.CommitStage(st, 5))
+			done(m.Commit(st, 5))
 		}(st)
 	}
 }
@@ -103,7 +103,7 @@ func deferredDiscard(m *merger, rows []int64) error {
 			return err
 		}
 	}
-	return m.CommitStage(st, 6)
+	return m.Commit(st, 6)
 }
 
 // Checked charge: fine.
